@@ -3,13 +3,15 @@
 Cell data is stored cell-major in curve order with one contiguous block per
 cell.  Facet data comes in two flavours: the two-sided projection field
 (values and normal derivatives of the two adjacent cells) and the flux
-field (the averaged value/derivative pair per facet).  Vertex data carries
-the coarse continuous space.
+field (the averaged value/derivative pair per facet).  The smoother keeps
+one store of each for the whole mesh, shared by all subdomains, so the
+interface exchange only has to check that both sides were written.
+Vertex data carries the coarse continuous space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,38 +125,36 @@ def _dump_csv(path, header, rows2d):
                 w.writerow((i, j, fmt_float(v)))
 
 
-def exchange_interface(projections, partition, check=True):
-    """Complete the (minus, plus) pairs of interface facets.
+def exchange_interface(projections, partition):
+    """Complete and check the (minus, plus) pairs of interface facets.
 
     projections is one FacetProjection per subdomain; each subdomain has
-    written exactly the sides owned by its cells.  After the exchange both
-    subdomains of every interface facet observe the full pair, so fluxes
-    computed on either side agree.  A single-subdomain list passes through
-    untouched.
+    written exactly the sides owned by its cells.  Both sides of every
+    interface facet must have been written, or FieldError names the
+    first missing one: this is the check a distributed run depends on.
+    Between distinct fields the missing halves are then copied across, so
+    both subdomains of an interface facet observe the full pair.  The
+    smoother passes its one shared store once per subdomain, so for it
+    the exchange only checks.  A single subdomain passes through untouched.
     """
     if len(projections) != partition.nparts:
         raise FieldError("one projection field per subdomain required")
-    if partition.nparts == 1:
-        return projections
     ids = partition.interface_facets
-    if ids.size == 0:
+    if partition.nparts == 1 or ids.size == 0:
         return projections
-    pm = partition.part_of_cell  # noqa: F841  (kept for debugging)
-    owner_minus = np.array([partition.corridor[int(f)][0] for f in ids])
-    owner_plus = np.array([partition.corridor[int(f)][1] for f in ids])
-    if check:
-        for f, om, op in zip(ids, owner_minus, owner_plus):
-            if not projections[om].written[f, MINUS]:
-                raise FieldError(f"minus side of interface facet {int(f)} never written")
-            if not projections[op].written[f, PLUS]:
-                raise FieldError(f"plus side of interface facet {int(f)} never written")
-    for a in np.unique(owner_minus):
-        for b in np.unique(owner_plus):
-            sel = ids[(owner_minus == a) & (owner_plus == b)]
-            if sel.size == 0:
-                continue
-            projections[b].data[sel, MINUS] = projections[a].data[sel, MINUS]
-            projections[b].written[sel, MINUS] = True
-            projections[a].data[sel, PLUS] = projections[b].data[sel, PLUS]
-            projections[a].written[sel, PLUS] = True
+    # (minus part, plus part) of each interface facet
+    owners = np.array([partition.corridor[int(f)] for f in ids])
+    for a, b in np.unique(owners, axis=0):
+        sel = ids[(owners[:, MINUS] == a) & (owners[:, PLUS] == b)]
+        for q, side, name in ((a, MINUS, "minus"), (b, PLUS, "plus")):
+            missing = sel[~projections[q].written[sel, side]]
+            if missing.size:
+                raise FieldError(f"{name} side of interface facet "
+                                 f"{int(missing[0])} never written")
+        if projections[a] is projections[b]:
+            continue
+        projections[b].data[sel, MINUS] = projections[a].data[sel, MINUS]
+        projections[b].written[sel, MINUS] = True
+        projections[a].data[sel, PLUS] = projections[b].data[sel, PLUS]
+        projections[a].written[sel, PLUS] = True
     return projections

@@ -69,6 +69,15 @@ class MgConfig:
             raise MgError(f"unknown coarse solve mode {self.coarse!r}")
         if self.nu < 1:
             raise MgError("need at least one smoothing sweep per cycle")
+        if not self.eps >= 0.0:     # also rejects NaN
+            raise MgError(f"tolerance eps must be >= 0, got {self.eps}")
+        if min(self.max_cycles, self.coarse_max_cycles) < 1:
+            raise MgError(f"max_cycles and coarse_max_cycles must be >= 1, got "
+                          f"{self.max_cycles} and {self.coarse_max_cycles}")
+        pre, post = self.nu_coarse
+        if min(pre, post) < 0 or pre + post == 0:
+            raise MgError(f"nu_coarse needs non-negative sweep counts and at "
+                          f"least one sweep, got {self.nu_coarse}")
 
 
 @dataclass
@@ -315,109 +324,83 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
     cfg.validate()
     if cspace is None:
         cspace = build_coarse_space(mesh.dim, mesh.level)
+    sweep_fn = SWEEPS[cfg.variant]
+    sweep_cost = _SWEEP_COST[cfg.variant]
+    trace = CycleTrace(eps=cfg.eps, criterion=cfg.criterion)
     state = make_state(mesh, basis, blocks, b, partition=partition,
                        omega=cfg.omega, variant=cfg.variant,
                        inverse_mode=cfg.inverse_mode, workers=cfg.workers,
                        u0=u0)
-    sweep_fn = SWEEPS[cfg.variant]
-    sweep_cost = _SWEEP_COST[cfg.variant]
-    trace = CycleTrace(eps=cfg.eps, criterion=cfg.criterion)
+    try:
+        ref = None
+        if cfg.criterion == "error":
+            ref = np.zeros_like(state.u.data) if u_ref is None else np.asarray(u_ref)
+            ref = ref.reshape(state.u.data.shape)
+            trace.e0_l2, trace.e0_linf = _norms(state.u.data - ref)
+            if trace.e0_l2 == 0.0:
+                trace.converged = True
+                return MgResult(state.u, trace, state.counters)
 
-    ref = None
-    if cfg.criterion == "error":
-        ref = np.zeros_like(state.u.data) if u_ref is None else np.asarray(u_ref)
-        ref = ref.reshape(state.u.data.shape)
-        trace.e0_l2, trace.e0_linf = _norms(state.u.data - ref)
-        if trace.e0_l2 == 0.0:
-            trace.converged = True
-            state.close()
-            return MgResult(state.u, trace, state.counters)
-
-    if u0 is None or not np.any(state.u.data):
-        trace.r0_l2, trace.r0_linf = _norms(state.b.data)
-        if trace.r0_l2 == 0.0:
-            trace.converged = True
-            state.close()
-            return MgResult(state.u, trace, state.counters)
-        state.warm_up()
-        trace.traversals += 1
-    else:
-        state.warm_up()
-        trace.traversals += 1
-        r = compute_residual_only(state)
-        trace.traversals += 1
-        trace.r0_l2, trace.r0_linf = _norms(r.data)
-        if trace.r0_l2 == 0.0:
-            trace.converged = True
-            state.close()
-            return MgResult(state.u, trace, state.counters)
-
-    snapshot = state.u.data.copy()
-    pending = None
-    k = 0
-    while k < cfg.max_cycles:
-        if pending is not None:
-            # prolongation traversal of correction k, fused with the
-            # re-projection that the next cycle's smoothing consumes
-            state.u.data += pending
-            for part in range(state.partition.nparts):
-                lo, hi = state.partition.cell_range(part)
-                state._project_range(part, lo, hi)
-            exchange_interface(state.proj, state.partition)
-            state.respawn_tasks()
+        if u0 is None or not np.any(state.u.data):
+            trace.r0_l2, trace.r0_linf = _norms(state.b.data)
+        else:
+            state.warm_up()
             trace.traversals += 1
-            pending = None
-            diff = state.u.data - snapshot
-            snapshot = state.u.data.copy()
-            d2, di = _norms(diff)
-            trace.prec_l2.append(d2)
-            trace.prec_linf.append(di)
-            if (cfg.criterion == "prec" and len(trace.prec_l2) >= 2
-                    and trace.prec_l2[0] > 0
-                    and d2 <= cfg.eps * trace.prec_l2[0]):
+            r = compute_residual_only(state)
+            trace.traversals += 1
+            trace.r0_l2, trace.r0_linf = _norms(r.data)
+        if trace.r0_l2 == 0.0:
+            trace.converged = True
+            return MgResult(state.u, trace, state.counters)
+        if not state.warm:
+            state.warm_up()
+            trace.traversals += 1
+
+        snapshot = state.u.data.copy()
+        pending = None
+        while True:
+            if pending is not None:
+                state.u.data += pending
+                pending = None
+                trace.traversals += 1
+                last = trace.cycles == cfg.max_cycles
+                if last:
+                    # final prolongation traversal, nothing left to re-project for
+                    state.warm = False
+                else:
+                    # prolongation traversal of the correction, fused with the
+                    # re-projection that the next cycle's smoothing consumes
+                    exchange_interface(state.project(), state.partition)
+                    state.respawn_tasks()
+                d2, di = _norms(state.u.data - snapshot)
+                snapshot = state.u.data.copy()
+                trace.prec_l2.append(d2)
+                trace.prec_linf.append(di)
+                if (cfg.criterion == "prec" and len(trace.prec_l2) >= 2
+                        and trace.prec_l2[0] > 0
+                        and d2 <= cfg.eps * trace.prec_l2[0]):
+                    trace.converged = True
+                if ref is not None:
+                    e2, ei = _norms(state.u.data - ref)
+                    trace.err_l2.append(e2)
+                    trace.err_linf.append(ei)
+                    if e2 <= cfg.eps * trace.e0_l2:
+                        trace.converged = True
+                if trace.converged or last:
+                    break
+            trace.cycles += 1
+            for _ in range(cfg.nu):
+                sweep_fn(state)
+                trace.traversals += sweep_cost
+            trace.traversals += 1 if state.warm else 2
+            r = compute_residual_only(state)
+            r2, ri = _norms(r.data)
+            trace.res_l2.append(r2)
+            trace.res_linf.append(ri)
+            if cfg.criterion == "unprec" and r2 <= cfg.eps * trace.r0_l2:
                 trace.converged = True
                 break
-            if ref is not None:
-                e2, ei = _norms(state.u.data - ref)
-                trace.err_l2.append(e2)
-                trace.err_linf.append(ei)
-                if e2 <= cfg.eps * trace.e0_l2:
-                    trace.converged = True
-                    break
-        k += 1
-        for _ in range(cfg.nu):
-            sweep_fn(state)
-            trace.traversals += sweep_cost
-        was_warm = state.warm
-        r = compute_residual_only(state)
-        trace.traversals += 1 if was_warm else 2
-        r2, ri = _norms(r.data)
-        trace.res_l2.append(r2)
-        trace.res_linf.append(ri)
-        trace.cycles = k
-        if cfg.criterion == "unprec" and r2 <= cfg.eps * trace.r0_l2:
-            trace.converged = True
-            break
-        delta, _ = coarse_grid_correction(mesh, blocks, cspace, r.data, cfg)
-        pending = delta
-    if pending is not None:
-        # final prolongation traversal, nothing left to re-project for
-        state.u.data += pending
-        state.warm = False
-        trace.traversals += 1
-        diff = state.u.data - snapshot
-        d2, di = _norms(diff)
-        trace.prec_l2.append(d2)
-        trace.prec_linf.append(di)
-        if (cfg.criterion == "prec" and len(trace.prec_l2) >= 2
-                and trace.prec_l2[0] > 0
-                and d2 <= cfg.eps * trace.prec_l2[0]):
-            trace.converged = True
-        if ref is not None:
-            e2, ei = _norms(state.u.data - ref)
-            trace.err_l2.append(e2)
-            trace.err_linf.append(ei)
-            if e2 <= cfg.eps * trace.e0_l2:
-                trace.converged = True
-    state.close()
-    return MgResult(state.u, trace, state.counters)
+            pending, _ = coarse_grid_correction(mesh, blocks, cspace, r.data, cfg)
+        return MgResult(state.u, trace, state.counters)
+    finally:
+        state.close()

@@ -54,8 +54,9 @@ class SweepCounters:
 
     One cell block counts (p+1)^dim scalars, one facet record (projection
     side or flux) counts (p+1)^(dim-1); the value/derivative pair shares a
-    record.  Fluxes are counted where they are computed, so interface
-    facets of a multi-subdomain run count once per touching subdomain.
+    record.  Subdomains share one flux store, so an interface flux is
+    computed once, but it is counted once per touching subdomain, as a
+    distributed run would compute it on both sides.
     """
 
     cell_reads: int = 0
@@ -81,7 +82,11 @@ class SweepCounters:
 
 @dataclass
 class SmootherState:
-    """Solution, right-hand side and facet scratch of one smoother run."""
+    """Solution, right-hand side and facet scratch of one smoother run.
+
+    proj and flux hold one facet store shared by every subdomain; a
+    subdomain is just its cell range of the partition.
+    """
 
     mesh: object
     basis: object
@@ -102,14 +107,8 @@ class SmootherState:
     _executor: object = None
     _pending_res: dict = field(default_factory=dict)
     _pending_inv: dict = field(default_factory=dict)
-    _finalized: list = field(default_factory=list)
-    _fidx: list = None          # [s][f] facet id per cell
-    _sigma: list = None         # [s][f] residual sign per cell (-1 minus side)
-    _sval: list = None          # [s][f] value projection sign per cell
-    _orient: list = None        # [s][f] n_F . e_s per cell
-    _side: list = None          # [s][f] side index per cell
-    _part_int: list = None      # interior facet ids touching each part
-    _part_bnd: list = None
+    _sigma: np.ndarray = None   # (ncells, dim, 2) residual sign, -1 on the minus side
+    _orient: np.ndarray = None  # (ncells, dim, 2) n_F . e_s
 
     def close(self):
         if self._executor is not None:
@@ -127,83 +126,84 @@ class SmootherState:
     def warm_up(self):
         """Initial projection traversal; spawns the first task round for
         the tasked variant."""
-        for part in range(self.partition.nparts):
-            lo, hi = self.partition.cell_range(part)
-            self._project_range(part, lo, hi)
-        exchange_interface(self.proj, self.partition)
+        exchange_interface(self.project(), self.partition)
         self.warm = True
-        if self.variant == "tasked":
-            for part in range(self.partition.nparts):
-                lo, hi = self.partition.cell_range(part)
-                for k in range(lo, hi):
-                    self._spawn_cell_tasks(k)
+        self.respawn_tasks()
 
-    def _project_range(self, part, lo, hi, count=True):
+    def project(self):
+        """Projection traversal, subdomain by subdomain, into the shared
+        store; returns the store once per subdomain, as the interface
+        exchange expects."""
+        for part in range(self.partition.nparts):
+            self._project_range(*self.partition.cell_range(part))
+        return self.proj * self.partition.nparts
+
+    def _project_range(self, lo, hi):
         mesh, bl = self.mesh, self.blocks
         U = self.u.data[lo:hi]
-        pr = self.proj[part]
+        pr = self.proj[0]
         for s in range(mesh.dim):
             for f in (0, 1):
-                F = self._fidx[s][f][lo:hi]
-                side = self._side[s][f][lo:hi]
-                val = self._sval[s][f][lo:hi, None] * _rows_mm(U, bl.Tval[s][f])
-                der = self._orient[s][f][lo:hi, None] * _rows_mm(U, bl.Tder[s][f])
+                F = mesh.cell_facets[lo:hi, s, f]
+                side = mesh.cell_side[lo:hi, s, f]
+                val = -self._sigma[lo:hi, s, f, None] * _rows_mm(U, bl.Tval[s][f])
+                der = self._orient[lo:hi, s, f, None] * _rows_mm(U, bl.Tder[s][f])
                 pr.data[F, side, VAL] = val
                 pr.data[F, side, DER] = der
                 pr.written[F, side] = True
-        if count:
-            self.counters.facet_writes += (hi - lo) * 2 * mesh.dim * bl.nf
+        self.counters.facet_writes += (hi - lo) * 2 * mesh.dim * bl.nf
 
-    def _project_cell(self, part, k):
+    def _project_cell(self, k):
         bl = self.blocks
-        pr = self.proj[part]
+        pr = self.proj[0]
         U = self.u.data[k:k + 1]
         for s in range(self.mesh.dim):
             for f in (0, 1):
-                F = self._fidx[s][f][k]
-                side = self._side[s][f][k]
-                pr.data[F, side, VAL] = (self._sval[s][f][k]
+                F = self.mesh.cell_facets[k, s, f]
+                side = self.mesh.cell_side[k, s, f]
+                pr.data[F, side, VAL] = (-self._sigma[k, s, f]
                                          * _rows_mm(U, bl.Tval[s][f])[0])
-                pr.data[F, side, DER] = (self._orient[s][f][k]
+                pr.data[F, side, DER] = (self._orient[k, s, f]
                                          * _rows_mm(U, bl.Tder[s][f])[0])
                 pr.written[F, side] = True
         self.counters.facet_writes += 2 * self.mesh.dim * bl.nf
 
-    def _flux_range(self, part):
-        pr, fl = self.proj[part], self.flux[part]
-        ii, bb = self._part_int[part], self._part_bnd[part]
-        fl.data[ii] = apply_flux(pr.data[ii, MINUS], pr.data[ii, PLUS])
-        fl.data[bb] = apply_flux(pr.data[bb, MINUS], boundary=True)
+    def _flux_all(self):
+        """Every facet's flux from the shared projections; boundary facets
+        copy their one-sided record."""
+        pr, fl = self.proj[0].data, self.flux[0].data
+        bnd = self.mesh.facet_boundary
+        fl[:] = apply_flux(pr[:, MINUS], pr[:, PLUS])
+        fl[bnd] = apply_flux(pr[bnd, MINUS], boundary=True)
         nf = self.blocks.nf
-        self.counters.facet_reads += (2 * ii.size + bb.size) * nf
-        self.counters.facet_writes += (ii.size + bb.size) * nf
+        # each subdomain counts the fluxes it touches: interface facets twice
+        touches = self.mesh.nfacets + self.partition.interface_facets.size
+        nbnd = int(np.count_nonzero(bnd))
+        self.counters.facet_reads += (2 * touches - nbnd) * nf
+        self.counters.facet_writes += touches * nf
 
-    def _flux_facet(self, part, F):
-        pr, fl = self.proj[part], self.flux[part]
-        nf = self.blocks.nf
-        if self.mesh.facet_boundary[F]:
-            fl.data[F] = apply_flux(pr.data[F, MINUS], boundary=True)
-            self.counters.facet_reads += nf
-        else:
-            fl.data[F] = apply_flux(pr.data[F, MINUS], pr.data[F, PLUS])
-            self.counters.facet_reads += 2 * nf
-        self.counters.facet_writes += nf
+    def _flux_facet(self, F, compute):
+        """Flux of facet F; compute=False only counts a flux another
+        subdomain has already formed."""
+        pr, fl = self.proj[0].data, self.flux[0].data
+        sides = 1 if self.mesh.facet_boundary[F] else 2
+        if compute:
+            fl[F] = (apply_flux(pr[F, MINUS], boundary=True) if sides == 1
+                     else apply_flux(pr[F, MINUS], pr[F, PLUS]))
+        self.counters.facet_reads += sides * self.blocks.nf
+        self.counters.facet_writes += self.blocks.nf
 
     def _gather_residual(self, U):
         """b - A u from the current fluxes; one logical traversal."""
         mesh, bl = self.mesh, self.blocks
+        fl = self.flux[0].data
         R = self.b.data - _rows_mm(U, bl.Acc)
         for s in range(mesh.dim):
             for f in (0, 1):
-                Wv = np.empty((mesh.ncells, bl.nf))
-                Wd = np.empty((mesh.ncells, bl.nf))
-                for part in range(self.partition.nparts):
-                    lo, hi = self.partition.cell_range(part)
-                    F = self._fidx[s][f][lo:hi]
-                    Wv[lo:hi] = self.flux[part].data[F, VAL]
-                    Wd[lo:hi] = self.flux[part].data[F, DER]
-                m = _rows_mm(Wv, bl.Acf_w[s][f]) + _rows_mm(Wd, bl.Acf_wp[s][f])
-                R -= self._sigma[s][f][:, None] * m
+                F = mesh.cell_facets[:, s, f]
+                m = (_rows_mm(fl[F, VAL], bl.Acf_w[s][f])
+                     + _rows_mm(fl[F, DER], bl.Acf_wp[s][f]))
+                R -= self._sigma[:, s, f, None] * m
         self.counters.cell_reads += 2 * mesh.ncells * bl.nloc
         self.counters.facet_reads += 2 * mesh.dim * mesh.ncells * bl.nf
         return R
@@ -257,14 +257,13 @@ class SmootherState:
             self.counters.tasks_spawned += 1
 
     def respawn_tasks(self):
-        """Replace every pending volumetric task after the iterate changed
-        under the smoother, so the next sweep sees the corrected values."""
+        """(Re)spawn every cell's volumetric tasks of a warm tasked state,
+        replacing pending ones after the iterate changed under the
+        smoother, so the next sweep sees the corrected values."""
         if self.variant != "tasked" or not self.warm:
             return
-        for part in range(self.partition.nparts):
-            lo, hi = self.partition.cell_range(part)
-            for k in range(lo, hi):
-                self._spawn_cell_tasks(k)
+        for k in range(self.mesh.ncells):
+            self._spawn_cell_tasks(k)
 
 
 def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
@@ -293,34 +292,10 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
         variant=variant, inverse_mode=inverse_mode, workers=workers,
         track_old=track_old,
     )
-    st.proj = [FacetProjection.zeros(mesh.nfacets, blocks.nf)
-               for _ in range(partition.nparts)]
-    st.flux = [FacetFlux.zeros(mesh.nfacets, blocks.nf)
-               for _ in range(partition.nparts)]
-    st._fidx, st._sigma, st._sval, st._orient, st._side = [], [], [], [], []
-    for s in range(mesh.dim):
-        fi, sg, sv, orr, sd = [], [], [], [], []
-        for f in (0, 1):
-            F = mesh.cell_facets[:, s, f]
-            side = mesh.cell_side[:, s, f]
-            fi.append(F)
-            sd.append(side)
-            sg.append(np.where(side == MINUS, -1.0, 1.0))
-            sv.append(np.where(side == MINUS, 1.0, -1.0))
-            orr.append(mesh.facet_orient[F].astype(float))
-        st._fidx.append(fi)
-        st._sigma.append(sg)
-        st._sval.append(sv)
-        st._orient.append(orr)
-        st._side.append(sd)
-    st._part_int, st._part_bnd = [], []
-    for part in range(partition.nparts):
-        lo, hi = partition.cell_range(part)
-        ids = np.unique(mesh.cell_facets[lo:hi].reshape(-1))
-        st._part_int.append(ids[~mesh.facet_boundary[ids]])
-        st._part_bnd.append(ids[mesh.facet_boundary[ids]])
-    st._finalized = [np.zeros(mesh.nfacets, dtype=bool)
-                     for _ in range(partition.nparts)]
+    st.proj = [FacetProjection.zeros(mesh.nfacets, blocks.nf)]
+    st.flux = [FacetFlux.zeros(mesh.nfacets, blocks.nf)]
+    st._sigma = np.where(mesh.cell_side == MINUS, -1.0, 1.0)
+    st._orient = mesh.facet_orient[mesh.cell_facets].astype(float)
     return st
 
 
@@ -334,11 +309,11 @@ def sweep_vanilla(state):
     """
     mesh, bl = state.mesh, state.blocks
     state._backup_old()
-    U = state.u_old.data
+    U = state.u_old.data    # u itself is updated in place below
     R = state.b.data - _rows_mm(U, bl.Acc)
     for s in range(mesh.dim):
         for f in (0, 1):
-            F = state._fidx[s][f]
+            F = mesh.cell_facets[:, s, f]
             bnd = mesh.facet_boundary[F]
             diag = _rows_mm(U, bl.D_int[s][f])
             if bnd.any():
@@ -351,14 +326,7 @@ def sweep_vanilla(state):
             idx = np.where(nb < 0, mesh.ncells, nb)
             R -= _rows_mm(Upad[idx], bl.Nb[s][f])
     state.counters.cell_reads += (2 + 2 * mesh.dim) * mesh.ncells * bl.nloc
-    if state.inverse_mode == "precomputed":
-        state.u.data[:] = U + state.omega * _rows_mm(R, bl.Sinv)
-    else:
-        for k in range(mesh.ncells):
-            Sinv = state._cell_inverse()
-            state.u.data[k:k + 1] = (U[k:k + 1]
-                                     + state.omega * _rows_mm(R[k:k + 1], Sinv))
-    state.counters.cell_writes += mesh.ncells * bl.nloc
+    state._update_range(R)
     state.counters.sweeps += 1
     state.warm = False
     return state
@@ -366,16 +334,11 @@ def sweep_vanilla(state):
 
 def sweep_stages(state):
     """One iteration as three separate traversals: project, flux, update."""
-    part_count = state.partition.nparts
-    for part in range(part_count):
-        lo, hi = state.partition.cell_range(part)
-        state._project_range(part, lo, hi)
+    exchange_interface(state.project(), state.partition)
     state.counters.cell_reads += state.mesh.ncells * state.blocks.nloc
-    exchange_interface(state.proj, state.partition)
     if state.track_old:
         state._backup_old()
-    for part in range(part_count):
-        state._flux_range(part)
+    state._flux_all()
     R = state._gather_residual(state.u.data)
     state._update_range(R)
     state.counters.sweeps += 1
@@ -390,14 +353,10 @@ def sweep_fused(state):
         raise SmootherError("fused sweep requires warm_up() first")
     if state.track_old:
         state._backup_old()
-    for part in range(state.partition.nparts):
-        state._flux_range(part)
+    state._flux_all()
     R = state._gather_residual(state.u.data)
     state._update_range(R)
-    for part in range(state.partition.nparts):
-        lo, hi = state.partition.cell_range(part)
-        state._project_range(part, lo, hi, count=True)
-    exchange_interface(state.proj, state.partition)
+    exchange_interface(state.project(), state.partition)
     state.counters.sweeps += 1
     return state
 
@@ -406,7 +365,8 @@ def sweep_tasked(state):
     """The fused iteration with deferred volumetric work.
 
     Per cell: pick up the cell's own pending results, finish the facet
-    part of the residual (computing each flux on first touch), update,
+    part of the residual (computing each flux on its first touch in
+    global cell order, before either side is re-projected), update,
     re-project and spawn the next round.  The iterate is bitwise the one
     sweep_fused produces, for every worker count.
     """
@@ -415,29 +375,27 @@ def sweep_tasked(state):
     mesh, bl = state.mesh, state.blocks
     if state.track_old:
         state._backup_old()
-    for fin in state._finalized:
-        fin[:] = False
+    fl = state.flux[0].data
+    touched = np.full(mesh.nfacets, -1)     # last subdomain that counted a flux
     for part in range(state.partition.nparts):
         lo, hi = state.partition.cell_range(part)
-        fl = state.flux[part]
-        fin = state._finalized[part]
         for k in range(lo, hi):
             if k not in state._pending_res:
                 raise SmootherError(f"cell {k} waits on a task that was never spawned")
             for s in range(mesh.dim):
                 for f in (0, 1):
-                    F = state._fidx[s][f][k]
-                    if not fin[F]:
-                        state._flux_facet(part, F)
-                        fin[F] = True
+                    F = mesh.cell_facets[k, s, f]
+                    if touched[F] != part:
+                        state._flux_facet(F, touched[F] < 0)
+                        touched[F] = part
             r = state._pending_res.pop(k).result()
             state.counters.tasks_executed += 1
             for s in range(mesh.dim):
                 for f in (0, 1):
-                    F = state._fidx[s][f][k]
-                    m = (_rows_mm(fl.data[F, VAL][None, :], bl.Acf_w[s][f])
-                         + _rows_mm(fl.data[F, DER][None, :], bl.Acf_wp[s][f]))
-                    r = r - state._sigma[s][f][k] * m
+                    F = mesh.cell_facets[k, s, f]
+                    m = (_rows_mm(fl[F, VAL][None, :], bl.Acf_w[s][f])
+                         + _rows_mm(fl[F, DER][None, :], bl.Acf_wp[s][f]))
+                    r = r - state._sigma[k, s, f] * m
             state.counters.cell_reads += 2 * bl.nloc
             state.counters.facet_reads += 2 * mesh.dim * bl.nf
             if state.inverse_mode == "percell":
@@ -447,9 +405,9 @@ def sweep_tasked(state):
                 Sinv = bl.Sinv
             state.u.data[k:k + 1] += state.omega * _rows_mm(r, Sinv)
             state.counters.cell_writes += bl.nloc
-            state._project_cell(part, k)
+            state._project_cell(k)
             state._spawn_cell_tasks(k)
-    exchange_interface(state.proj, state.partition)
+    exchange_interface(state.proj * state.partition.nparts, state.partition)
     state.counters.sweeps += 1
     return state
 
@@ -473,14 +431,10 @@ def compute_residual_only(state):
     freshly set solution) get a projection pass first.
     """
     if not state.warm:
-        for part in range(state.partition.nparts):
-            lo, hi = state.partition.cell_range(part)
-            state._project_range(part, lo, hi)
+        exchange_interface(state.project(), state.partition)
         state.counters.cell_reads += state.mesh.ncells * state.blocks.nloc
-        exchange_interface(state.proj, state.partition)
         state.warm = True
-    for part in range(state.partition.nparts):
-        state._flux_range(part)
+    state._flux_all()
     R = state._gather_residual(state.u.data)
     return CellField(R)
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,32 @@ def test_trace_history_and_csv(tmp_path):
     res.trace.to_csv(path2)
     header = path2.read_text().splitlines()[0]
     assert header.endswith("err_l2,err_linf,rel_err_l2")
+
+
+@pytest.mark.parametrize("bad", [
+    {"eps": -1.0},
+    {"eps": float("nan")},
+    {"max_cycles": 0},
+    {"coarse_max_cycles": 0},
+    {"nu_coarse": (-1, 3)},
+    {"nu_coarse": (3, -1)},
+    {"nu_coarse": (0, 0)},
+])
+def test_config_validation_rejects_out_of_range_values(bad):
+    with pytest.raises(MgError):
+        MgConfig(**bad).validate()
+
+
+def test_failed_tasked_solve_shuts_its_thread_pool_down():
+    # one exact-mode coarse V-cycle cannot reach the coarse tolerance, so
+    # the solve raises after the tasked smoother has started its workers
+    mesh, basis, blocks = blocks_for("lobatto", 2, 2)
+    b = build_rhs(get_problem("two_peak"), mesh, basis)
+    cfg = MgConfig(variant="tasked", workers=2, coarse="exact",
+                   coarse_max_cycles=1)
+    before = set(threading.enumerate())
+    with pytest.raises(CoarseSolveError):
+        solve(mesh, basis, blocks, b, cfg)
+    leaked = [t for t in threading.enumerate()
+              if t not in before and t.name.startswith("ThreadPoolExecutor")]
+    assert leaked == []

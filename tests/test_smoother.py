@@ -263,3 +263,39 @@ def test_standalone_smoothing_is_monotone():
     res = np.asarray(res)
     assert np.all(np.diff(res) <= 1e-12 * res[:-1])
     assert res[-1] < res[0]
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("variant", ["stages", "fused", "tasked"])
+def test_multi_subdomain_sweep_counts_interface_fluxes_per_part(variant, p):
+    # an interface flux is counted once by each of its two subdomains: one
+    # extra interior flux record (two reads, one write) per interface facet
+    mesh, basis, blocks, b, _ = _random_setup(p=p, level=2)
+
+    def one_sweep_total(part):
+        st = make_state(mesh, basis, blocks, b, partition=part,
+                        variant=variant, omega=0.9)
+        if variant != "stages":
+            st.warm_up()
+        st.counters.reset()
+        sweep(st)
+        st.close()
+        return st.counters.total()
+
+    single = one_sweep_total(make_partition(mesh, "balanced", 1))
+    for mode, nparts in (("balanced", 4), ("geometric", 3)):
+        part = make_partition(mesh, mode, nparts)
+        extra = 3 * blocks.nf * part.interface_facets.size
+        assert one_sweep_total(part) == single + extra, (mode, nparts)
+
+
+def test_facet_memory_does_not_depend_on_subdomain_count():
+    mesh, basis, blocks, b, _ = _random_setup(p=3, level=2)
+
+    def facet_bytes(nparts):
+        st = make_state(mesh, basis, blocks, b,
+                        partition=make_partition(mesh, "balanced", nparts))
+        return (sum(f.data.nbytes + f.written.nbytes for f in st.proj)
+                + sum(f.data.nbytes for f in st.flux))
+
+    assert facet_bytes(8) == facet_bytes(1)
