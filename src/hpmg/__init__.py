@@ -18,7 +18,7 @@ from .localops import (AssemblyError, CoarseOps, LocalBlocks, apply_flux,
 from .mesh import (Mesh, MeshError, Partition, build_hierarchy,
                    make_partition, peano_order)
 from .multigrid import (CoarseSolveError, CycleTrace, MgConfig, MgError,
-                        MgResult, build_coarse_space, solve)
+                        MgResult, NonFiniteError, build_coarse_space, solve)
 from .problems import (Problem, ProblemError, build_rhs, cell_nodes,
                        discretisation_error, fit_slope, get_problem,
                        interpolate_exact)
@@ -33,7 +33,8 @@ __all__ = [
     "CoarseSolveError",
     "CycleTrace", "FacetFlux", "FacetProjection", "FieldError",
     "LocalBlocks", "Mesh", "MeshError", "MgConfig", "MgError", "MgResult",
-    "NodalBasis1D", "Partition", "Problem", "ProblemError", "SmootherError",
+    "NodalBasis1D", "NonFiniteError", "Partition", "Problem", "ProblemError",
+    "SmootherError",
     "SmootherState", "SweepCounters", "VertexField", "apply_flux",
     "apply_operator", "build_coarse_ops", "build_coarse_space",
     "build_hierarchy",

@@ -139,13 +139,7 @@ def exchange_interface(projections, partition):
     """
     if len(projections) != partition.nparts:
         raise FieldError("one projection field per subdomain required")
-    ids = partition.interface_facets
-    if partition.nparts == 1 or ids.size == 0:
-        return projections
-    # (minus part, plus part) of each interface facet
-    owners = np.array([partition.corridor[int(f)] for f in ids])
-    for a, b in np.unique(owners, axis=0):
-        sel = ids[(owners[:, MINUS] == a) & (owners[:, PLUS] == b)]
+    for a, b, sel in partition.owner_groups:
         for q, side, name in ((a, MINUS, "minus"), (b, PLUS, "plus")):
             missing = sel[~projections[q].written[sel, side]]
             if missing.size:

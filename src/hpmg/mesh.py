@@ -224,6 +224,8 @@ class Partition:
     part_of_cell: np.ndarray
     interface_facets: np.ndarray
     corridor: dict = field(default_factory=dict)  # facet id -> (part minus, part plus)
+    # (part minus, part plus, facet ids) per owner pair, in pair order
+    owner_groups: tuple = ()
 
     def cell_range(self, part):
         return int(self.starts[part]), int(self.starts[part + 1])
@@ -260,13 +262,15 @@ def make_partition(mesh, mode, nparts):
     both = (mesh.facet_cells >= 0).all(axis=1)
     pm = part_of_cell[mesh.facet_cells[both, 0]]
     pp = part_of_cell[mesh.facet_cells[both, 1]]
-    ids = np.where(both)[0][pm != pp]
-    corridor = {
-        int(f): (int(part_of_cell[mesh.facet_cells[f, 0]]),
-                 int(part_of_cell[mesh.facet_cells[f, 1]]))
-        for f in ids
-    }
+    cut = pm != pp
+    ids, pm, pp = np.where(both)[0][cut], pm[cut], pp[cut]
+    corridor = {int(f): (int(a), int(b)) for f, a, b in zip(ids, pm, pp)}
+    owner_groups = tuple(
+        (int(a), int(b), ids[(pm == a) & (pp == b)])
+        for a, b in np.unique(np.stack([pm, pp], axis=1), axis=0)
+    )
     return Partition(
         mode=mode, nparts=nparts, sizes=sizes, starts=starts,
         part_of_cell=part_of_cell, interface_facets=ids, corridor=corridor,
+        owner_groups=owner_groups,
     )

@@ -41,6 +41,16 @@ class CoarseSolveError(MgError):
     pass
 
 
+class NonFiniteError(MgError):
+    pass
+
+
+def _check_finite(norm, cycle):
+    if not np.isfinite(norm):
+        where = f"cycle {cycle}" if cycle else "the initial guess"
+        raise NonFiniteError(f"residual norm of {where} is {norm}")
+
+
 # traversals of the fine mesh per smoother sweep / residual evaluation
 _SWEEP_COST = {"vanilla": 1, "stages": 3, "fused": 1, "tasked": 1}
 
@@ -349,6 +359,7 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
             r = compute_residual_only(state)
             trace.traversals += 1
             trace.r0_l2, trace.r0_linf = _norms(r.data)
+        _check_finite(trace.r0_l2, 0)
         if trace.r0_l2 == 0.0:
             trace.converged = True
             return MgResult(state.u, trace, state.counters)
@@ -397,6 +408,7 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
             r2, ri = _norms(r.data)
             trace.res_l2.append(r2)
             trace.res_linf.append(ri)
+            _check_finite(r2, trace.cycles)
             if cfg.criterion == "unprec" and r2 <= cfg.eps * trace.r0_l2:
                 trace.converged = True
                 break

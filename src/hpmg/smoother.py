@@ -11,10 +11,12 @@ Four sweep flavours produce identical iterates by different data flow:
             traversal; each traversal consumes the projections written at
             the end of the previous one (fluxes of iterate k are always
             formed from iterate k's traces, never from a half-updated mix).
-  tasked    the fused loop with the volumetric residual (and, per cell
-            visit, the block factorisation in percell mode) deferred to a
-            task pool; every cell waits for its own tasks only, there is
-            no barrier between traversals.
+  tasked    the fused traversal with the volumetric residual (and, per
+            cell visit, the block factorisation in percell mode) deferred
+            to a task pool; fluxes and facet terms are formed once per
+            sweep from iterate k's traces by the fused kernels, the cell
+            loop waits for each cell's own tasks only and spawns its next
+            round, and re-projection follows the cell loop.
 
 All dense kernels go through einsum, whose accumulation order per output
 element does not depend on the batch size.  The batched traversals and the
@@ -133,7 +135,9 @@ class SmootherState:
     def project(self):
         """Projection traversal, subdomain by subdomain, into the shared
         store; returns the store once per subdomain, as the interface
-        exchange expects."""
+        exchange expects.  The written flags are cleared first, so the
+        exchange checks this traversal's sides, not an earlier one's."""
+        self.proj[0].written[:] = False
         for part in range(self.partition.nparts):
             self._project_range(*self.partition.cell_range(part))
         return self.proj * self.partition.nparts
@@ -153,21 +157,6 @@ class SmootherState:
                 pr.written[F, side] = True
         self.counters.facet_writes += (hi - lo) * 2 * mesh.dim * bl.nf
 
-    def _project_cell(self, k):
-        bl = self.blocks
-        pr = self.proj[0]
-        U = self.u.data[k:k + 1]
-        for s in range(self.mesh.dim):
-            for f in (0, 1):
-                F = self.mesh.cell_facets[k, s, f]
-                side = self.mesh.cell_side[k, s, f]
-                pr.data[F, side, VAL] = (-self._sigma[k, s, f]
-                                         * _rows_mm(U, bl.Tval[s][f])[0])
-                pr.data[F, side, DER] = (self._orient[k, s, f]
-                                         * _rows_mm(U, bl.Tder[s][f])[0])
-                pr.written[F, side] = True
-        self.counters.facet_writes += 2 * self.mesh.dim * bl.nf
-
     def _flux_all(self):
         """Every facet's flux from the shared projections; boundary facets
         copy their one-sided record."""
@@ -182,30 +171,25 @@ class SmootherState:
         self.counters.facet_reads += (2 * touches - nbnd) * nf
         self.counters.facet_writes += touches * nf
 
-    def _flux_facet(self, F, compute):
-        """Flux of facet F; compute=False only counts a flux another
-        subdomain has already formed."""
-        pr, fl = self.proj[0].data, self.flux[0].data
-        sides = 1 if self.mesh.facet_boundary[F] else 2
-        if compute:
-            fl[F] = (apply_flux(pr[F, MINUS], boundary=True) if sides == 1
-                     else apply_flux(pr[F, MINUS], pr[F, PLUS]))
-        self.counters.facet_reads += sides * self.blocks.nf
-        self.counters.facet_writes += self.blocks.nf
+    def _face_term(self, s, f):
+        """Face (s, f)'s share of every cell's residual, from the current
+        fluxes."""
+        mesh, bl = self.mesh, self.blocks
+        fl = self.flux[0].data
+        F = mesh.cell_facets[:, s, f]
+        m = (_rows_mm(fl[F, VAL], bl.Acf_w[s][f])
+             + _rows_mm(fl[F, DER], bl.Acf_wp[s][f]))
+        self.counters.facet_reads += mesh.ncells * bl.nf
+        return self._sigma[:, s, f, None] * m
 
     def _gather_residual(self, U):
         """b - A u from the current fluxes; one logical traversal."""
         mesh, bl = self.mesh, self.blocks
-        fl = self.flux[0].data
         R = self.b.data - _rows_mm(U, bl.Acc)
         for s in range(mesh.dim):
             for f in (0, 1):
-                F = mesh.cell_facets[:, s, f]
-                m = (_rows_mm(fl[F, VAL], bl.Acf_w[s][f])
-                     + _rows_mm(fl[F, DER], bl.Acf_wp[s][f]))
-                R -= self._sigma[:, s, f, None] * m
+                R -= self._face_term(s, f)
         self.counters.cell_reads += 2 * mesh.ncells * bl.nloc
-        self.counters.facet_reads += 2 * mesh.dim * mesh.ncells * bl.nf
         return R
 
     def _cell_inverse(self):
@@ -364,50 +348,37 @@ def sweep_fused(state):
 def sweep_tasked(state):
     """The fused iteration with deferred volumetric work.
 
-    Per cell: pick up the cell's own pending results, finish the facet
-    part of the residual (computing each flux on its first touch in
-    global cell order, before either side is re-projected), update,
-    re-project and spawn the next round.  The iterate is bitwise the one
-    sweep_fused produces, for every worker count.
+    The fluxes and the facet terms of the residual are formed once, in
+    batch, from iterate k's traces.  Per cell: pick up the cell's own
+    pending results, subtract its facet terms in the face order of
+    _gather_residual, update and spawn the next round; re-projection
+    follows the cell loop.  The iterate is bitwise the one sweep_fused
+    produces, for every worker count.
     """
     if not state.warm:
         raise SmootherError("tasked sweep requires warm_up() first")
     mesh, bl = state.mesh, state.blocks
     if state.track_old:
         state._backup_old()
-    fl = state.flux[0].data
-    touched = np.full(mesh.nfacets, -1)     # last subdomain that counted a flux
-    for part in range(state.partition.nparts):
-        lo, hi = state.partition.cell_range(part)
-        for k in range(lo, hi):
-            if k not in state._pending_res:
-                raise SmootherError(f"cell {k} waits on a task that was never spawned")
-            for s in range(mesh.dim):
-                for f in (0, 1):
-                    F = mesh.cell_facets[k, s, f]
-                    if touched[F] != part:
-                        state._flux_facet(F, touched[F] < 0)
-                        touched[F] = part
-            r = state._pending_res.pop(k).result()
+    state._flux_all()
+    terms = [state._face_term(s, f) for s in range(mesh.dim) for f in (0, 1)]
+    for k in range(mesh.ncells):
+        if k not in state._pending_res:
+            raise SmootherError(f"cell {k} waits on a task that was never spawned")
+        r = state._pending_res.pop(k).result()
+        state.counters.tasks_executed += 1
+        for t in terms:
+            r = r - t[k:k + 1]
+        if state.inverse_mode == "percell":
+            Sinv = state._pending_inv.pop(k).result()
             state.counters.tasks_executed += 1
-            for s in range(mesh.dim):
-                for f in (0, 1):
-                    F = mesh.cell_facets[k, s, f]
-                    m = (_rows_mm(fl[F, VAL][None, :], bl.Acf_w[s][f])
-                         + _rows_mm(fl[F, DER][None, :], bl.Acf_wp[s][f]))
-                    r = r - state._sigma[k, s, f] * m
-            state.counters.cell_reads += 2 * bl.nloc
-            state.counters.facet_reads += 2 * mesh.dim * bl.nf
-            if state.inverse_mode == "percell":
-                Sinv = state._pending_inv.pop(k).result()
-                state.counters.tasks_executed += 1
-            else:
-                Sinv = bl.Sinv
-            state.u.data[k:k + 1] += state.omega * _rows_mm(r, Sinv)
-            state.counters.cell_writes += bl.nloc
-            state._project_cell(k)
-            state._spawn_cell_tasks(k)
-    exchange_interface(state.proj * state.partition.nparts, state.partition)
+        else:
+            Sinv = bl.Sinv
+        state.u.data[k:k + 1] += state.omega * _rows_mm(r, Sinv)
+        state._spawn_cell_tasks(k)
+    state.counters.cell_reads += 2 * mesh.ncells * bl.nloc
+    state.counters.cell_writes += mesh.ncells * bl.nloc
+    exchange_interface(state.project(), state.partition)
     state.counters.sweeps += 1
     return state
 

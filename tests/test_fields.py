@@ -11,11 +11,12 @@ from hpmg import (
     fmt_float,
     make_basis,
     make_partition,
+    make_state,
     norm,
 )
 from hpmg.fields import DER, MINUS, PLUS
 
-from conftest import mesh_at
+from conftest import blocks_for, mesh_at
 
 
 def test_fmt_float_round_trips(rng):
@@ -153,3 +154,20 @@ def test_nodal_interpolation_reproduces_polynomials(kind, rng):
     x = rng.uniform(0, 1, size=40)
     got = basis.eval(x) @ vals
     np.testing.assert_allclose(got, poly(x), atol=1e-11)
+
+
+def test_exchange_fails_when_a_traversal_skips_a_part(monkeypatch):
+    # the written flags belong to one traversal: a part whose projection
+    # was skipped is caught, even after an earlier traversal wrote it
+    mesh, basis, blocks = blocks_for("lobatto", 2, 2)
+    part = make_partition(mesh, "balanced", 4)
+    b = CellField(np.ones((mesh.ncells, blocks.nloc)))
+    st = make_state(mesh, basis, blocks, b, partition=part, variant="fused")
+    st.warm_up()
+    skipped = part.cell_range(2)
+    project_range = st._project_range
+    monkeypatch.setattr(st, "_project_range",
+                        lambda lo, hi: None if (lo, hi) == skipped
+                        else project_range(lo, hi))
+    with pytest.raises(FieldError, match="never written"):
+        exchange_interface(st.project(), st.partition)

@@ -185,3 +185,15 @@ def test_partition_rejects_bad_requests():
         make_partition(m, "balanced", 10)
     with pytest.raises(MeshError):
         make_partition(m, "striped", 2)
+
+
+@pytest.mark.parametrize("mode, nparts", [("balanced", 1), ("balanced", 4),
+                                          ("geometric", 3)])
+def test_partition_owner_groups_cover_the_corridor(mode, nparts):
+    part = make_partition(mesh_at(2), mode, nparts)
+    pairs = [(a, b) for a, b, _ in part.owner_groups]
+    assert pairs == sorted(set(part.corridor.values()))
+    grouped = {int(f): (a, b) for a, b, ids in part.owner_groups for f in ids}
+    assert grouped == part.corridor
+    for _, _, ids in part.owner_groups:
+        assert np.all(np.diff(ids) > 0)

@@ -7,6 +7,7 @@ from hpmg import (
     CellField,
     MgConfig,
     MgError,
+    NonFiniteError,
     apply_operator,
     build_coarse_space,
     build_rhs,
@@ -355,3 +356,23 @@ def test_failed_tasked_solve_shuts_its_thread_pool_down():
     leaked = [t for t in threading.enumerate()
               if t not in before and t.name.startswith("ThreadPoolExecutor")]
     assert leaked == []
+
+
+def test_diverging_solve_raises_non_finite_error():
+    # a penalty below the coercivity bound assembles fine, but the
+    # iteration blows up; the solve names the cycle instead of running on
+    mesh, basis, blocks = blocks_for("lobatto", 3, 2, penalty_const=0.2)
+    b = build_rhs(get_problem("sin_product"), mesh, basis)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="cycle 50 "):
+        solve(mesh, basis, blocks, b, MgConfig())
+
+
+def test_nan_right_hand_side_raises_non_finite_error():
+    mesh, basis, blocks = blocks_for("lobatto", 2, 1)
+    b = build_rhs(get_problem("sin_product"), mesh, basis)
+    b.data[4, 1] = np.nan
+    with pytest.raises(NonFiniteError, match="initial guess"):
+        solve(mesh, basis, blocks, b, MgConfig())
+    u0 = np.ones_like(b.data)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="initial guess"):
+        solve(mesh, basis, blocks, b, MgConfig(), u0=u0)

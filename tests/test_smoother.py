@@ -299,3 +299,19 @@ def test_facet_memory_does_not_depend_on_subdomain_count():
                 + sum(f.data.nbytes for f in st.flux))
 
     assert facet_bytes(8) == facet_bytes(1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_operator_is_symmetric_positive_definite(p):
+    # at theta = -1 (symmetric interior penalty) the matrix-free operator,
+    # applied to every unit vector, gives an exactly symmetric SPD matrix
+    mesh, basis, blocks = blocks_for("lobatto", p, 1, theta=-1.0)
+    n = mesh.ncells * blocks.nloc
+    A = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        A[:, j] = apply_operator(mesh, basis, blocks,
+                                 CellField(e.reshape(mesh.ncells, -1))).data.reshape(-1)
+    assert np.max(np.abs(A - A.T)) == 0.0
+    assert np.linalg.eigvalsh(A).min() > 0.0
