@@ -192,7 +192,6 @@ def _knob_echo(cfg, basis, theta, penalty, partition="balanced", subdomains=1,
         "nu_coarse": list(cfg.nu_coarse),
         "omega_coarse": cfg.omega_coarse,
         "coarse": cfg.coarse,
-        "coarsest_sweeps": cfg.coarsest_sweeps,
         "criterion": cfg.criterion,
         "eps": cfg.eps,
         "max_cycles": cfg.max_cycles,

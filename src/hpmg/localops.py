@@ -289,7 +289,6 @@ class CoarseOps:
 
     dim: int
     h: float
-    element: np.ndarray   # 2^dim x 2^dim element stiffness
     stencil: np.ndarray   # assembled 9-point stencil at an interior vertex
     diag: float
 
@@ -297,18 +296,10 @@ class CoarseOps:
 def build_coarse_ops(dim, h):
     if dim != 2:
         raise AssemblyError("vertex-space operators are implemented for dim = 2")
-    # bilinear element stiffness on a square is independent of h in 2D;
-    # corner order C-major over (x bit, y bit) to match Mesh.cell_vertices
-    e, d = -1.0 / 6.0, -1.0 / 3.0
-    element = np.array([
-        [2.0 / 3.0, e, e, d],
-        [e, 2.0 / 3.0, d, e],
-        [e, d, 2.0 / 3.0, e],
-        [d, e, e, 2.0 / 3.0],
-    ])
+    # the bilinear stiffness on squares is independent of h in 2D
     stencil = np.full((3, 3), -1.0 / 3.0)
     stencil[1, 1] = 8.0 / 3.0
-    return CoarseOps(dim=dim, h=h, element=element, stencil=stencil, diag=8.0 / 3.0)
+    return CoarseOps(dim=dim, h=h, stencil=stencil, diag=8.0 / 3.0)
 
 
 def dump_blocks_csv(blocks, directory):

@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+import hpmg.multigrid
 from hpmg import (
     CellField,
     MgConfig,
@@ -171,6 +172,56 @@ def test_exact_coarse_solve_reaches_rounding(rng):
     assert np.max(np.abs(R)) <= 1e-12 * np.max(np.abs(B))
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_direct_solve_matches_dense_solve(level, rng):
+    # every level li, the 3x3-cell base level of the V-cycle included
+    cspace = cspace_at(level)
+    for li, lev in enumerate(cspace.levels):
+        A = dense_vertex_matrix(cspace, li)
+        free = lev.interior.reshape(-1)
+        B = _interior_random(lev.n, rng)
+        x = np.zeros((lev.n + 1) ** 2)
+        x[free] = np.linalg.solve(A[np.ix_(free, free)], B.reshape(-1)[free])
+        U = cspace.direct_solve(li, B)
+        assert np.max(np.abs(U.reshape(-1) - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_exact_mode_runs_no_vcycle(monkeypatch):
+    def no_vcycle(*args, **kwargs):
+        raise AssertionError("exact coarse mode entered h_vcycle")
+
+    monkeypatch.setattr(hpmg.multigrid, "h_vcycle", no_vcycle)
+    mesh, basis, blocks = blocks_for("lobatto", 2, 2)
+    b = build_rhs(get_problem("two_peak"), mesh, basis)
+    res = solve(mesh, basis, blocks, b,
+                MgConfig(criterion="unprec", eps=1e-7, coarse="exact"))
+    assert res.trace.converged
+
+
+def test_exact_coarse_solve_of_smooth_load_meets_backward_error():
+    # two V-cycles leave a backward error of about 3e-6 here; one direct
+    # step reaches coarse_tol
+    cspace = cspace_at(5)
+    n = cspace.levels[0].n
+    s = np.sin(np.pi * np.linspace(0.0, 1.0, n + 1))
+    B = cspace.apply_stiffness(0, np.outer(s, s))
+    cfg = MgConfig(coarse="exact", coarse_max_cycles=2)
+    U = coarse_solve(cspace, B, cfg)
+    R = B - cspace.apply_stiffness(0, U)
+    R[~cspace.levels[0].interior] = 0.0
+    a_inf = np.abs(cspace.levels[0].stencil).sum()
+    bound = a_inf * np.max(np.abs(U)) + np.max(np.abs(B))
+    assert np.max(np.abs(R)) <= cfg.coarse_tol * bound
+
+
+def test_exact_coarse_solve_rejects_non_finite_load(rng):
+    cspace = cspace_at(2)
+    B = _interior_random(cspace.levels[0].n, rng)
+    B[4, 5] = np.nan
+    with pytest.raises(CoarseSolveError, match="finite"):
+        coarse_solve(cspace, B, MgConfig(coarse="exact"))
+
+
 def test_solve_matches_dense_solution():
     mesh, basis, blocks = blocks_for("lobatto", 2, 1)
     problem = get_problem("sin_product")
@@ -267,10 +318,11 @@ def test_coarse_modes_agree():
     assert np.max(np.abs(uv - ue)) < 1e-6 * np.max(np.abs(ue))
 
 
-def test_solve_is_partition_invariant():
+@pytest.mark.parametrize("coarse", ["vcycle", "exact"])
+def test_solve_is_partition_invariant(coarse):
     mesh, basis, blocks = blocks_for("lobatto", 2, 2)
     b = build_rhs(get_problem("two_peak"), mesh, basis)
-    cfg = MgConfig(eps=1e-7)
+    cfg = MgConfig(eps=1e-7, coarse=coarse)
     base = solve(mesh, basis, blocks, b, cfg)
     for mode, nparts in (("balanced", 4), ("geometric", 3)):
         part = make_partition(mesh, mode, nparts)
@@ -337,6 +389,11 @@ def test_trace_history_and_csv(tmp_path):
     {"nu_coarse": (-1, 3)},
     {"nu_coarse": (3, -1)},
     {"nu_coarse": (0, 0)},
+    {"coarse_tol": 0.0},
+    {"coarse_tol": 1.0},
+    {"coarse_tol": float("nan")},
+    {"omega_coarse": 0.0},
+    {"omega_coarse": 4.0 / 3.0},
 ])
 def test_config_validation_rejects_out_of_range_values(bad):
     with pytest.raises(MgError):
@@ -344,8 +401,9 @@ def test_config_validation_rejects_out_of_range_values(bad):
 
 
 def test_failed_tasked_solve_shuts_its_thread_pool_down():
-    # one exact-mode coarse V-cycle cannot reach the coarse tolerance, so
-    # the solve raises after the tasked smoother has started its workers
+    # with coarse_max_cycles=1 the exact coarse solve takes one direct step
+    # but never checks it, so it raises after the tasked smoother has
+    # started its workers
     mesh, basis, blocks = blocks_for("lobatto", 2, 2)
     b = build_rhs(get_problem("two_peak"), mesh, basis)
     cfg = MgConfig(variant="tasked", workers=2, coarse="exact",
