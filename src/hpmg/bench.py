@@ -104,6 +104,21 @@ def _build_id():
     return "unknown"
 
 
+def _environment():
+    """The numpy and BLAS build and the BLAS thread settings: the iterates
+    are bitwise reproducible only on the same BLAS build."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # older numpy has no dict mode
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {v: os.environ.get(v)
+                    for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def _fmt(v):
     if isinstance(v, bool):
         return "1" if v else "0"
@@ -129,6 +144,7 @@ def write_manifest(out, name, command, config, meshes, outputs, wall, seed=None)
         "meshes": meshes,
         "outputs": [os.path.basename(p) for p in outputs],
         "build_id": _build_id(),
+        "environment": _environment(),
         "wall_time_s": round(wall, 3),
     }
     if seed is not None:

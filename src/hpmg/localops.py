@@ -288,18 +288,17 @@ class CoarseOps:
     """Continuous bilinear (vertex) operator pieces on square cells."""
 
     dim: int
-    h: float
     stencil: np.ndarray   # assembled 9-point stencil at an interior vertex
     diag: float
 
 
-def build_coarse_ops(dim, h):
+def build_coarse_ops(dim):
     if dim != 2:
         raise AssemblyError("vertex-space operators are implemented for dim = 2")
     # the bilinear stiffness on squares is independent of h in 2D
     stencil = np.full((3, 3), -1.0 / 3.0)
     stencil[1, 1] = 8.0 / 3.0
-    return CoarseOps(dim=dim, h=h, stencil=stencil, diag=8.0 / 3.0)
+    return CoarseOps(dim=dim, stencil=stencil, diag=8.0 / 3.0)
 
 
 def dump_blocks_csv(blocks, directory):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import CellField, exchange_interface, fmt_float
 from .localops import build_coarse_ops
-from .smoother import SWEEPS, compute_residual_only, make_state
+from .smoother import INVERSE_MODES, SWEEPS, compute_residual_only, make_state
 
 
 class MgError(RuntimeError):
@@ -76,6 +76,15 @@ class MgConfig:
             raise MgError(f"unknown stopping criterion {self.criterion!r}")
         if self.coarse not in ("exact", "vcycle"):
             raise MgError(f"unknown coarse solve mode {self.coarse!r}")
+        if self.variant not in SWEEPS:
+            raise MgError(f"unknown smoother variant {self.variant!r}")
+        if self.inverse_mode not in INVERSE_MODES:
+            raise MgError(f"unknown inverse mode {self.inverse_mode!r}")
+        if not 0.0 <= self.omega <= 1.0:     # also rejects NaN
+            raise MgError(f"relaxation weight omega must be in [0, 1], "
+                          f"got {self.omega}")
+        if self.workers < 1:
+            raise MgError(f"workers must be >= 1, got {self.workers}")
         if self.nu < 1:
             raise MgError("need at least one smoothing sweep per cycle")
         if not self.eps >= 0.0:     # also rejects NaN
@@ -161,10 +170,10 @@ class CoarseSpace:
 def build_coarse_space(dim, level):
     if dim != 2:
         raise MgError("vertex-grid hierarchy is implemented for dim == 2")
+    ops = build_coarse_ops(dim)
     levels = []
     for l in range(level, 0, -1):
         n = 3 ** l
-        ops = build_coarse_ops(dim, 3.0 ** -l)
         vb = np.zeros((n + 1, n + 1), dtype=bool)
         vb[0, :] = vb[-1, :] = vb[:, 0] = vb[:, -1] = True
         if l > 1:
@@ -232,7 +241,7 @@ def restrict_to_vertices(mesh, blocks, R):
     The accumulation runs in global cell order whatever the partition,
     so the result is bitwise independent of the subdomain layout.
     """
-    contrib = np.einsum("ci,ib->cb", R, blocks.P_loc)
+    contrib = R @ blocks.P_loc
     bV = np.zeros(mesh.nvertices)
     np.add.at(bV, mesh.cell_vertices, contrib)
     bV[mesh.vertex_boundary] = 0.0
@@ -241,7 +250,7 @@ def restrict_to_vertices(mesh, blocks, R):
 
 def prolong_from_vertices(mesh, blocks, E):
     corner = E.reshape(-1)[mesh.cell_vertices]
-    return np.einsum("cb,ib->ci", corner, blocks.P_loc)
+    return corner @ blocks.P_loc.T
 
 
 def coarse_grid_correction(mesh, blocks, cspace, R, cfg):

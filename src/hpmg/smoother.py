@@ -12,16 +12,23 @@ Four sweep flavours produce identical iterates by different data flow:
             the end of the previous one (fluxes of iterate k are always
             formed from iterate k's traces, never from a half-updated mix).
   tasked    the fused traversal with the volumetric residual (and, per
-            cell visit, the block factorisation in percell mode) deferred
-            to a task pool; fluxes and facet terms are formed once per
-            sweep from iterate k's traces by the fused kernels, the cell
-            loop waits for each cell's own tasks only and spawns its next
-            round, and re-projection follows the cell loop.
+            tile visit, the block factorisation in percell mode) deferred
+            to a task pool, one task per tile; fluxes and facet terms are
+            formed once per sweep from iterate k's traces by the fused
+            kernels, the tile loop waits for each tile's own tasks only and
+            spawns its next round, and re-projection follows the tile loop.
 
-All dense kernels go through einsum, whose accumulation order per output
-element does not depend on the batch size.  The batched traversals and the
-per-cell tasked path therefore produce bitwise identical iterates, as do
-runs with different subdomain counts.
+Every cell-block product goes through _rows_mm, a BLAS product evaluated
+on one global grid of tiles of T = min(729, ncells) consecutive cells (a
+27x27 block of the curve in 2D on levels >= 3; T divides ncells).  BLAS
+rows are not batch-stable, but a row computed by a call of the same shape
+at the same offset in that call always has the same bits.  _rows_mm keeps
+that fixed: whole tiles go into one stacked call, and a range that cuts a
+tile is evaluated in a zero-padded tile-shaped buffer with its rows at
+their global offsets, so no foreign cell is read.  Whatever range a
+subdomain, a task or a batched traversal asks for, every row comes out
+bitwise the same, so stages, fused and tasked, on any subdomain and
+worker count, produce identical iterates.
 
 The update uses the interior-cell block inverse everywhere, also next to
 the boundary; the residual keeps the exact one-sided boundary fluxes, so
@@ -35,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (DER, MINUS, PLUS, VAL, CellField, FacetFlux,
-                     FacetProjection, exchange_interface)
+from .fields import (MINUS, PLUS, CellField, FacetFlux, FacetProjection,
+                     exchange_interface)
 from .localops import apply_flux
 from .mesh import make_partition
 
@@ -45,9 +52,38 @@ class SmootherError(RuntimeError):
     pass
 
 
-def _rows_mm(U, M):
-    """Row-stable product U @ M.T; row k equals the single-row product."""
-    return np.einsum("ci,ni->cn", U, M)
+TILE = 729
+INVERSE_MODES = ("precomputed", "percell")
+
+
+def _tile(n):
+    """Rows per tile of the global grid over n cell rows."""
+    return min(TILE, n)
+
+
+def _rows_mm(U, M, lo=0, n=None):
+    """U @ M.T for rows lo.. of an n-row array, on the global tile grid.
+
+    Whole tiles go into one stacked call; a tile the range cuts is
+    evaluated in a zero-padded tile buffer with the rows at their global
+    offsets.  Row k therefore has the same bits for every range that
+    contains it.
+    """
+    n = len(U) if n is None else n
+    T = _tile(n)
+    hi = lo + len(U)
+    out = np.empty((len(U), M.shape[0]))
+    a, b = -(-lo // T) * T, hi // T * T     # the whole tiles in [lo, hi)
+    if a < b:
+        np.matmul(U[a - lo:b - lo].reshape(-1, T, U.shape[1]), M.T,
+                  out=out[a - lo:b - lo].reshape(-1, T, M.shape[0]))
+    for s, e in ((lo, min(hi, a)), (max(lo, a, b), hi)):
+        if s < e:
+            t0 = s // T * T
+            buf = np.zeros((T, U.shape[1]))
+            buf[s - t0:e - t0] = U[s - lo:e - lo]
+            out[s - lo:e - lo] = (buf @ M.T)[s - t0:e - t0]
+    return out
 
 
 @dataclass
@@ -143,19 +179,23 @@ class SmootherState:
         return self.proj * self.partition.nparts
 
     def _project_range(self, lo, hi):
+        """Cells lo..hi's signed value and derivative traces, one stacked
+        product per face, scattered to the facet rows (facet, side)."""
         mesh, bl = self.mesh, self.blocks
+        nf = bl.nf
         U = self.u.data[lo:hi]
-        pr = self.proj[0]
+        rows = self.proj[0].data.reshape(-1, 2 * nf)
+        written = self.proj[0].written.reshape(-1)
         for s in range(mesh.dim):
             for f in (0, 1):
-                F = mesh.cell_facets[lo:hi, s, f]
-                side = mesh.cell_side[lo:hi, s, f]
-                val = -self._sigma[lo:hi, s, f, None] * _rows_mm(U, bl.Tval[s][f])
-                der = self._orient[lo:hi, s, f, None] * _rows_mm(U, bl.Tder[s][f])
-                pr.data[F, side, VAL] = val
-                pr.data[F, side, DER] = der
-                pr.written[F, side] = True
-        self.counters.facet_writes += (hi - lo) * 2 * mesh.dim * bl.nf
+                slot = 2 * mesh.cell_facets[lo:hi, s, f] + mesh.cell_side[lo:hi, s, f]
+                Q = _rows_mm(U, np.vstack([bl.Tval[s][f], bl.Tder[s][f]]),
+                             lo, mesh.ncells).reshape(-1, 2, nf)
+                Q *= np.stack([-self._sigma[lo:hi, s, f],
+                               self._orient[lo:hi, s, f]], axis=1)[:, :, None]
+                rows[slot] = Q.reshape(-1, 2 * nf)
+                written[slot] = True
+        self.counters.facet_writes += (hi - lo) * 2 * mesh.dim * nf
 
     def _flux_all(self):
         """Every facet's flux from the shared projections; boundary facets
@@ -171,24 +211,26 @@ class SmootherState:
         self.counters.facet_reads += (2 * touches - nbnd) * nf
         self.counters.facet_writes += touches * nf
 
-    def _face_term(self, s, f):
-        """Face (s, f)'s share of every cell's residual, from the current
-        fluxes."""
+    def _face_terms(self):
+        """Each face's share of every cell's residual, from the current
+        fluxes, one face at a time in (axis, low/high) order: the signed
+        flux rows of the face times [Acf_w | Acf_wp] in one product."""
         mesh, bl = self.mesh, self.blocks
-        fl = self.flux[0].data
-        F = mesh.cell_facets[:, s, f]
-        m = (_rows_mm(fl[F, VAL], bl.Acf_w[s][f])
-             + _rows_mm(fl[F, DER], bl.Acf_wp[s][f]))
-        self.counters.facet_reads += mesh.ncells * bl.nf
-        return self._sigma[:, s, f, None] * m
+        fl = self.flux[0].data.reshape(mesh.nfacets, 2 * bl.nf)
+        for s in range(mesh.dim):
+            for f in (0, 1):
+                self.counters.facet_reads += mesh.ncells * bl.nf
+                yield _rows_mm(self._sigma[:, s, f, None]
+                               * np.take(fl, mesh.cell_facets[:, s, f], axis=0),
+                               np.hstack([bl.Acf_w[s][f], bl.Acf_wp[s][f]]))
 
     def _gather_residual(self, U):
         """b - A u from the current fluxes; one logical traversal."""
         mesh, bl = self.mesh, self.blocks
-        R = self.b.data - _rows_mm(U, bl.Acc)
-        for s in range(mesh.dim):
-            for f in (0, 1):
-                R -= self._face_term(s, f)
+        R = _rows_mm(U, bl.Acc)
+        np.subtract(self.b.data, R, out=R)  # no second (ncells, nloc) array
+        for term in self._face_terms():
+            R -= term
         self.counters.cell_reads += 2 * mesh.ncells * bl.nloc
         return R
 
@@ -202,15 +244,18 @@ class SmootherState:
                          for s in range(bl.dim) for f in (0, 1))
         return np.linalg.inv(S)
 
+    def _update_tile(self, lo, r, Sinv):
+        n = self.mesh.ncells
+        self.u.data[lo:lo + len(r)] += self.omega * _rows_mm(r, Sinv, lo, n)
+
     def _update_range(self, R):
-        bl = self.blocks
-        if self.inverse_mode == "precomputed":
-            self.u.data += self.omega * _rows_mm(R, bl.Sinv)
-        else:
-            for k in range(self.mesh.ncells):
-                Sinv = self._cell_inverse()
-                self.u.data[k:k + 1] += self.omega * _rows_mm(R[k:k + 1], Sinv)
-        self.counters.cell_writes += self.mesh.ncells * bl.nloc
+        """u += omega S^-1 r, tile by tile; percell mode rebuilds the
+        inverse on every tile visit."""
+        n = self.mesh.ncells
+        T = _tile(n)
+        for lo in range(0, n, T):
+            self._update_tile(lo, R[lo:lo + T], self._cell_inverse())
+        self.counters.cell_writes += n * self.blocks.nloc
 
     def _backup_old(self):
         if self.u_old is None:
@@ -222,32 +267,34 @@ class SmootherState:
 
     # -- tasked plumbing ----------------------------------------------------
 
-    def _spawn_cell_tasks(self, k):
+    def _spawn_tile_tasks(self, t):
         if self._executor is None:
             self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        B, bl = self.b.data, self.blocks
+        B, bl, n = self.b.data, self.blocks, self.mesh.ncells
+        T = _tile(n)
+        lo = t * T
         # freeze the input now: an outer solver may correct the iterate
         # between spawn and execution, and the result must not depend on
         # when a worker happens to run the task
-        row = self.u.data[k:k + 1].copy()
+        rows = self.u.data[lo:lo + T].copy()
 
-        def cell_residual():
-            return B[k:k + 1] - _rows_mm(row, bl.Acc)
+        def tile_residual():
+            return B[lo:lo + T] - _rows_mm(rows, bl.Acc, lo, n)
 
-        self._pending_res[k] = self._executor.submit(cell_residual)
+        self._pending_res[t] = self._executor.submit(tile_residual)
         self.counters.tasks_spawned += 1
         if self.inverse_mode == "percell":
-            self._pending_inv[k] = self._executor.submit(self._cell_inverse)
+            self._pending_inv[t] = self._executor.submit(self._cell_inverse)
             self.counters.tasks_spawned += 1
 
     def respawn_tasks(self):
-        """(Re)spawn every cell's volumetric tasks of a warm tasked state,
+        """(Re)spawn every tile's volumetric tasks of a warm tasked state,
         replacing pending ones after the iterate changed under the
         smoother, so the next sweep sees the corrected values."""
         if self.variant != "tasked" or not self.warm:
             return
-        for k in range(self.mesh.ncells):
-            self._spawn_cell_tasks(k)
+        for t in range(self.mesh.ncells // _tile(self.mesh.ncells)):
+            self._spawn_tile_tasks(t)
 
 
 def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
@@ -256,7 +303,7 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
     """Allocate the solution, facet scratch and index tables of a run."""
     if variant not in ("vanilla", "stages", "fused", "tasked"):
         raise SmootherError(f"unknown smoother variant {variant!r}")
-    if inverse_mode not in ("precomputed", "percell"):
+    if inverse_mode not in INVERSE_MODES:
         raise SmootherError(f"unknown inverse mode {inverse_mode!r}")
     if not 0.0 <= omega <= 1.0:
         raise SmootherError(f"relaxation weight must be in [0, 1], got {omega}")
@@ -346,13 +393,14 @@ def sweep_fused(state):
 
 
 def sweep_tasked(state):
-    """The fused iteration with deferred volumetric work.
+    """The fused iteration with deferred volumetric work, one task per
+    tile of the global tile grid.
 
     The fluxes and the facet terms of the residual are formed once, in
-    batch, from iterate k's traces.  Per cell: pick up the cell's own
+    batch, from iterate k's traces.  Per tile: pick up the tile's own
     pending results, subtract its facet terms in the face order of
     _gather_residual, update and spawn the next round; re-projection
-    follows the cell loop.  The iterate is bitwise the one sweep_fused
+    follows the tile loop.  The iterate is bitwise the one sweep_fused
     produces, for every worker count.
     """
     if not state.warm:
@@ -361,21 +409,22 @@ def sweep_tasked(state):
     if state.track_old:
         state._backup_old()
     state._flux_all()
-    terms = [state._face_term(s, f) for s in range(mesh.dim) for f in (0, 1)]
-    for k in range(mesh.ncells):
-        if k not in state._pending_res:
-            raise SmootherError(f"cell {k} waits on a task that was never spawned")
-        r = state._pending_res.pop(k).result()
+    terms = list(state._face_terms())
+    T = _tile(mesh.ncells)
+    for t in range(mesh.ncells // T):
+        if t not in state._pending_res:
+            raise SmootherError(f"tile {t} waits on a task that was never spawned")
+        r = state._pending_res.pop(t).result()
         state.counters.tasks_executed += 1
-        for t in terms:
-            r = r - t[k:k + 1]
+        for term in terms:
+            r -= term[t * T:(t + 1) * T]
         if state.inverse_mode == "percell":
-            Sinv = state._pending_inv.pop(k).result()
+            Sinv = state._pending_inv.pop(t).result()
             state.counters.tasks_executed += 1
         else:
             Sinv = bl.Sinv
-        state.u.data[k:k + 1] += state.omega * _rows_mm(r, Sinv)
-        state._spawn_cell_tasks(k)
+        state._update_tile(t * T, r, Sinv)
+        state._spawn_tile_tasks(t)
     state.counters.cell_reads += 2 * mesh.ncells * bl.nloc
     state.counters.cell_writes += mesh.ncells * bl.nloc
     exchange_interface(state.project(), state.partition)

@@ -55,6 +55,18 @@ def test_model_table_matches_closed_forms(tmp_path):
     assert doc["outputs"] == ["model.csv"]
 
 
+def test_manifest_records_numpy_blas_and_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    run_model_table(dims=(2,), p_max=1, out=str(tmp_path))
+    env = _read_manifest(tmp_path / "model.json")["environment"]
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert env["threads"] == {"OPENBLAS_NUM_THREADS": "3",
+                              "OMP_NUM_THREADS": None}
+
+
 def test_convergence_study(tmp_path):
     out = str(tmp_path)
     rows, slopes = run_convergence_study([1], [1, 2], out=out)

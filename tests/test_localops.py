@@ -203,7 +203,7 @@ def test_access_model_spot_values():
 
 
 def test_vertex_operator_pieces():
-    ops = build_coarse_ops(2, 1.0 / 9.0)
+    ops = build_coarse_ops(2)
     assert ops.stencil[1, 1] == pytest.approx(8.0 / 3.0)
     off = np.delete(ops.stencil.reshape(-1), 4)
     np.testing.assert_allclose(off, np.full(8, -1.0 / 3.0), atol=1e-15)
@@ -211,7 +211,7 @@ def test_vertex_operator_pieces():
     # stencil is the element assembly around one interior vertex
     assert ops.stencil.sum() == pytest.approx(0.0)
     with pytest.raises(AssemblyError):
-        build_coarse_ops(3, 0.5)
+        build_coarse_ops(3)
 
 
 def test_basis_change_conjugates_cell_blocks():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +348,56 @@ def test_tasked_solve_is_bitwise_fused_for_any_workers():
         assert res.trace.cycles == base.trace.cycles
 
 
+def test_solve_is_bitwise_across_tile_boundaries():
+    # at L4 the 6561 cells form 9 tiles of 729; the part ranges and the
+    # tasks cut tiles, which no mesh at L <= 2 (a single tile) does
+    mesh, basis, blocks = blocks_for("lobatto", 1, 4)
+    b = build_rhs(get_problem("two_peak"), mesh, basis)
+    cfg = MgConfig(eps=1e-7)
+    base = solve(mesh, basis, blocks, b, cfg)
+    runs = [solve(mesh, basis, blocks, b, cfg,
+                  partition=make_partition(mesh, mode, nparts))
+            for mode, nparts in (("balanced", 8), ("geometric", 3))]
+    runs.append(solve(mesh, basis, blocks, b,
+                      MgConfig(eps=1e-7, variant="tasked", workers=2)))
+    for res in runs:
+        np.testing.assert_array_equal(res.u.data, base.u.data)
+        assert res.trace.cycles == base.trace.cycles
+
+
+_REPLAY = """
+import hashlib
+from hpmg import (MgConfig, build_hierarchy, build_local_blocks, build_rhs,
+                  get_problem, make_basis, make_partition, solve)
+mesh = build_hierarchy(2, 3)[0]
+basis = make_basis("lobatto", 4)
+blocks = build_local_blocks(basis, 2, mesh.h)
+b = build_rhs(get_problem("two_peak"), mesh, basis)
+for cfg, part in ((MgConfig(eps=1e-7), make_partition(mesh, "balanced", 4)),
+                  (MgConfig(eps=1e-7, variant="tasked", workers=2), None)):
+    res = solve(mesh, basis, blocks, b, cfg, partition=part)
+    print(hashlib.sha256(res.u.data.tobytes()).hexdigest())
+"""
+
+
+def test_iterates_do_not_depend_on_blas_threads():
+    # at p = 4 the tile products are large enough for OpenBLAS to split
+    # them over threads
+    src = str(Path(hpmg.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _REPLAY], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        hashes.append(out.stdout.split())
+    assert len(hashes[0]) == 2
+    assert hashes[0] == hashes[1]
+    # the 4-part fused and the tasked solve replay the same iterate
+    assert hashes[0][0] == hashes[0][1]
+
+
 def test_config_validation():
     with pytest.raises(MgError):
         MgConfig(criterion="energy").validate()
@@ -394,6 +448,12 @@ def test_trace_history_and_csv(tmp_path):
     {"coarse_tol": float("nan")},
     {"omega_coarse": 0.0},
     {"omega_coarse": 4.0 / 3.0},
+    {"variant": "bogus"},
+    {"inverse_mode": "cholesky"},
+    {"omega": -0.1},
+    {"omega": 1.5},
+    {"omega": float("nan")},
+    {"workers": 0},
 ])
 def test_config_validation_rejects_out_of_range_values(bad):
     with pytest.raises(MgError):

@@ -14,7 +14,7 @@ from hpmg import (
     sweep,
 )
 from hpmg.fields import DER, VAL
-from hpmg.smoother import compute_residual_only, sweep_fused, sweep_tasked
+from hpmg.smoother import _rows_mm, compute_residual_only, sweep_fused, sweep_tasked
 
 from conftest import blocks_for, rng  # noqa: F401
 from oracles import blocks_global, jacobi_iteration_dense
@@ -148,15 +148,19 @@ def test_standalone_tracking_adds_two_blocks():
 
 
 def test_tasked_counters_count_tasks():
-    mesh, basis, blocks, b, st = _random_setup(variant="tasked")
-    st.warm_up()
-    assert st.counters.tasks_spawned == mesh.ncells
-    n = 3
-    for _ in range(n):
-        sweep(st)
-    st.close()
-    assert st.counters.tasks_executed == n * mesh.ncells
-    assert st.counters.tasks_spawned == (n + 1) * mesh.ncells
+    # one task per tile of min(729, ncells) cells
+    for level, ntiles in ((1, 1), (4, 9)):
+        mesh, basis, blocks, b, st = _random_setup(variant="tasked",
+                                                   level=level)
+        assert mesh.ncells // min(729, mesh.ncells) == ntiles
+        st.warm_up()
+        assert st.counters.tasks_spawned == ntiles
+        n = 3
+        for _ in range(n):
+            sweep(st)
+        st.close()
+        assert st.counters.tasks_executed == n * ntiles
+        assert st.counters.tasks_spawned == (n + 1) * ntiles
 
 
 def test_constant_state_produces_zero_interior_value_flux():
@@ -190,6 +194,26 @@ def test_cold_fused_and_tasked_refuse_to_run():
     with pytest.raises(SmootherError, match="warm_up"):
         sweep_tasked(st)
     st.close()
+
+
+@pytest.mark.parametrize("nloc", [4, 16, 49])
+def test_rows_mm_rows_do_not_depend_on_the_range(nloc):
+    # BLAS gives a row different bits in calls of different shapes; on the
+    # global tile grid every range gets the bits of the whole-array call
+    n = 6561
+    gen = np.random.default_rng(nloc)
+    U = gen.normal(size=(n, nloc))
+    nf = int(round(nloc ** 0.5))
+    ranges = [(10, 20), (700, 800), (3000, 3001),     # cut one or two tiles
+              (729, 2916), (0, n),                    # whole tiles
+              (100, 3000), (5, n), (0, 1500)]         # both
+    ranges += [tuple(sorted(gen.choice(n + 1, 2, replace=False)))
+               for _ in range(12)]
+    for M in (gen.normal(size=(nloc, nloc)), gen.normal(size=(2 * nf, nloc))):
+        full = _rows_mm(U, M)
+        for lo, hi in ranges:
+            part = _rows_mm(U[lo:hi], M, lo, n)
+            assert part.tobytes() == full[lo:hi].tobytes(), (lo, hi)
 
 
 def test_tasked_guards_against_lost_tasks():
