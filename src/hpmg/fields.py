@@ -1,11 +1,13 @@
 """Degree-of-freedom containers for cell, facet and vertex data.
 
 Cell data is stored cell-major in curve order with one contiguous block per
-cell.  Facet data comes in two flavours: the two-sided projection field
-(values and normal derivatives of the two adjacent cells) and the flux
-field (the averaged value/derivative pair per facet).  The smoother keeps
+cell.  Facet data comes in two flavours.  The projection field holds every
+cell's signed value and normal-derivative traces on its 2*dim faces, also
+cell-major, so a traversal over a cell range writes one contiguous block.
+The flux field holds the averaged value/derivative pair per facet, formed
+from the two records the mesh names for each facet.  The smoother keeps
 one store of each for the whole mesh, shared by all subdomains, so the
-interface exchange only has to check that both sides were written.
+interface exchange only has to check that both records were written.
 Vertex data carries the coarse continuous space.
 """
 
@@ -58,27 +60,34 @@ class CellField:
 
 @dataclass
 class FacetProjection:
-    """Two-sided traces per facet: data[facet, side, quantity, node].
+    """Signed traces per cell face: data[cell, axis, face, quantity, node].
 
-    side 0/1 is the minus/plus cell, quantity 0/1 the value and the
-    n_F-directed derivative.  The plus side of a boundary facet stays zero.
-    The written flags track which sides a traversal has produced; they feed
-    the interface exchange and its missing-side check.
+    face 0/1 is the low/high face along the axis, quantity 0/1 the value
+    and the n_F-directed derivative; the value carries +1 on the minus
+    side of the facet and -1 on the plus side.  Row (c*dim + s)*2 + f of
+    records() is one record, the layout Mesh.facet_records indexes.  The
+    written flags, one per record, track which records a traversal has
+    produced; they feed the interface exchange and its missing-side check.
     """
 
     data: np.ndarray
     written: np.ndarray
 
     @classmethod
-    def zeros(cls, nfacets, nf):
-        return cls(np.zeros((nfacets, 2, 2, nf)), np.zeros((nfacets, 2), dtype=bool))
+    def zeros(cls, ncells, dim, nf):
+        return cls(np.zeros((ncells, dim, 2, 2, nf)),
+                   np.zeros((ncells, dim, 2), dtype=bool))
+
+    def records(self):
+        """(ncells*dim*2, 2*nf) view, one row per record."""
+        return self.data.reshape(-1, 2 * self.data.shape[-1])
 
     def copy(self):
         return FacetProjection(self.data.copy(), self.written.copy())
 
     def to_csv(self, path):
         flat = self.data.reshape(self.data.shape[0], -1)
-        _dump_csv(path, ("facet", "slot", "value"), flat)
+        _dump_csv(path, ("cell", "slot", "value"), flat)
 
 
 @dataclass
@@ -126,29 +135,29 @@ def _dump_csv(path, header, rows2d):
 
 
 def exchange_interface(projections, partition):
-    """Complete and check the (minus, plus) pairs of interface facets.
+    """Complete and check the (minus, plus) record pairs of interface facets.
 
     projections is one FacetProjection per subdomain; each subdomain has
-    written exactly the sides owned by its cells.  Both sides of every
+    written exactly the records of its own cells.  Both records of every
     interface facet must have been written, or FieldError names the
     first missing one: this is the check a distributed run depends on.
-    Between distinct fields the missing halves are then copied across, so
+    Between distinct fields the missing records are then copied across, so
     both subdomains of an interface facet observe the full pair.  The
     smoother passes its one shared store once per subdomain, so for it
     the exchange only checks.  A single subdomain passes through untouched.
     """
     if len(projections) != partition.nparts:
         raise FieldError("one projection field per subdomain required")
-    for a, b, sel in partition.owner_groups:
+    for a, b, sel, rows in partition.owner_groups:
         for q, side, name in ((a, MINUS, "minus"), (b, PLUS, "plus")):
-            missing = sel[~projections[q].written[sel, side]]
+            missing = sel[~projections[q].written.reshape(-1)[rows[:, side]]]
             if missing.size:
                 raise FieldError(f"{name} side of interface facet "
                                  f"{int(missing[0])} never written")
         if projections[a] is projections[b]:
             continue
-        projections[b].data[sel, MINUS] = projections[a].data[sel, MINUS]
-        projections[b].written[sel, MINUS] = True
-        projections[a].data[sel, PLUS] = projections[b].data[sel, PLUS]
-        projections[a].written[sel, PLUS] = True
+        for src, dst, side in ((a, b, MINUS), (b, a, PLUS)):
+            r = rows[:, side]
+            projections[dst].records()[r] = projections[src].records()[r]
+            projections[dst].written.reshape(-1)[r] = True
     return projections

@@ -60,6 +60,12 @@ class Mesh:
 
     Facet ids are grouped by axis, then ordered lexicographically by
     (plane index along the axis, cross-axis position).
+
+    Per-face trace records are numbered cell-major: cell c's record on
+    its face f (0 low, 1 high) along axis s is row (c*dim + s)*2 + f.
+    facet_records names the records a facet's flux is formed from: the
+    minus cell's high face (its low face on the low boundary) and the
+    plus cell's low face; a boundary facet repeats its minus record.
     """
 
     dim: int
@@ -74,6 +80,7 @@ class Mesh:
     facet_cells: np.ndarray     # (nfacets, 2) curve ranks of (minus, plus); -1 if absent
     cell_facets: np.ndarray     # (ncells, dim, 2) facet id at (axis, low/high face)
     cell_side: np.ndarray       # (ncells, dim, 2) side the cell occupies: 0 minus, 1 plus
+    facet_records: np.ndarray   # (nfacets, 2) trace record rows of (minus, plus), see above
     neighbors: np.ndarray       # (ncells, dim, 2) neighbour rank or -1
     vertex_coords: np.ndarray   # (nvertices, dim)
     vertex_boundary: np.ndarray # (nvertices,) bool
@@ -181,6 +188,13 @@ def _build_mesh(dim, level):
         neighbors[has_lo, s, 0] = cell_rank[tuple(lo[has_lo].T)]
         neighbors[has_hi, s, 1] = cell_rank[tuple(hi[has_hi].T)]
 
+    # trace record rows of (minus, plus) per facet
+    faces = np.where(facet_orient == -1, 0, 1)
+    facet_records = np.empty((nfacets, 2), dtype=np.int64)
+    facet_records[:, 0] = (facet_cells[:, 0] * dim + facet_axis) * 2 + faces
+    facet_records[:, 1] = np.where(facet_boundary, facet_records[:, 0],
+                                   (facet_cells[:, 1] * dim + facet_axis) * 2)
+
     # vertices, C-major over [0, n]^dim
     vgrids = np.meshgrid(*(np.arange(n + 1) for _ in range(dim)), indexing="ij")
     vidx = np.stack([g.reshape(-1) for g in vgrids], axis=1)
@@ -198,7 +212,8 @@ def _build_mesh(dim, level):
         dim=dim, level=level, n=n, h=h, cells=cells, cell_rank=cell_rank,
         facet_axis=facet_axis, facet_boundary=facet_boundary,
         facet_orient=facet_orient, facet_cells=facet_cells,
-        cell_facets=cell_facets, cell_side=cell_side, neighbors=neighbors,
+        cell_facets=cell_facets, cell_side=cell_side,
+        facet_records=facet_records, neighbors=neighbors,
         vertex_coords=vertex_coords, vertex_boundary=vertex_boundary,
         cell_vertices=cell_vertices,
     )
@@ -224,7 +239,8 @@ class Partition:
     part_of_cell: np.ndarray
     interface_facets: np.ndarray
     corridor: dict = field(default_factory=dict)  # facet id -> (part minus, part plus)
-    # (part minus, part plus, facet ids) per owner pair, in pair order
+    # (part minus, part plus, facet ids, their (minus, plus) record rows)
+    # per owner pair, in pair order
     owner_groups: tuple = ()
 
     def cell_range(self, part):
@@ -265,10 +281,10 @@ def make_partition(mesh, mode, nparts):
     cut = pm != pp
     ids, pm, pp = np.where(both)[0][cut], pm[cut], pp[cut]
     corridor = {int(f): (int(a), int(b)) for f, a, b in zip(ids, pm, pp)}
-    owner_groups = tuple(
-        (int(a), int(b), ids[(pm == a) & (pp == b)])
-        for a, b in np.unique(np.stack([pm, pp], axis=1), axis=0)
-    )
+    groups = [(int(a), int(b), ids[(pm == a) & (pp == b)])
+              for a, b in np.unique(np.stack([pm, pp], axis=1), axis=0)]
+    owner_groups = tuple((a, b, sel, mesh.facet_records[sel])
+                         for a, b, sel in groups)
     return Partition(
         mode=mode, nparts=nparts, sizes=sizes, starts=starts,
         part_of_cell=part_of_cell, interface_facets=ids, corridor=corridor,

@@ -242,8 +242,8 @@ def restrict_to_vertices(mesh, blocks, R):
     so the result is bitwise independent of the subdomain layout.
     """
     contrib = R @ blocks.P_loc
-    bV = np.zeros(mesh.nvertices)
-    np.add.at(bV, mesh.cell_vertices, contrib)
+    bV = np.bincount(mesh.cell_vertices.ravel(), weights=contrib.ravel(),
+                     minlength=mesh.nvertices)
     bV[mesh.vertex_boundary] = 0.0
     n = mesh.n
     return bV.reshape(n + 1, n + 1)
@@ -349,11 +349,10 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
     sweep_fn = SWEEPS[cfg.variant]
     sweep_cost = _SWEEP_COST[cfg.variant]
     trace = CycleTrace(eps=cfg.eps, criterion=cfg.criterion)
-    state = make_state(mesh, basis, blocks, b, partition=partition,
-                       omega=cfg.omega, variant=cfg.variant,
-                       inverse_mode=cfg.inverse_mode, workers=cfg.workers,
-                       u0=u0)
-    try:
+    with make_state(mesh, basis, blocks, b, partition=partition,
+                    omega=cfg.omega, variant=cfg.variant,
+                    inverse_mode=cfg.inverse_mode, workers=cfg.workers,
+                    u0=u0) as state:
         ref = None
         if cfg.criterion == "error":
             ref = np.zeros_like(state.u.data) if u_ref is None else np.asarray(u_ref)
@@ -426,5 +425,3 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                 break
             pending, _ = coarse_grid_correction(mesh, blocks, cspace, r.data, cfg)
         return MgResult(state.u, trace, state.counters)
-    finally:
-        state.close()

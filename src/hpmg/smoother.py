@@ -13,10 +13,11 @@ Four sweep flavours produce identical iterates by different data flow:
             formed from iterate k's traces, never from a half-updated mix).
   tasked    the fused traversal with the volumetric residual (and, per
             tile visit, the block factorisation in percell mode) deferred
-            to a task pool, one task per tile; fluxes and facet terms are
-            formed once per sweep from iterate k's traces by the fused
-            kernels, the tile loop waits for each tile's own tasks only and
-            spawns its next round, and re-projection follows the tile loop.
+            to a task pool, one task per tile; fluxes are formed once per
+            sweep from iterate k's traces by the fused kernels, the tile
+            loop waits for each tile's own tasks only, subtracts the
+            tile's facet terms and spawns its next round, and
+            re-projection follows the tile loop.
 
 Every cell-block product goes through _rows_mm, a BLAS product evaluated
 on one global grid of tiles of T = min(729, ncells) consecutive cells (a
@@ -29,6 +30,18 @@ their global offsets, so no foreign cell is read.  Whatever range a
 subdomain, a task or a batched traversal asks for, every row comes out
 bitwise the same, so stages, fused and tasked, on any subdomain and
 worker count, produce identical iterates.
+
+The projection store is cell-major (see fields.FacetProjection): a cell
+range writes its signed value and derivative traces on all 2*dim faces
+with one product by the stacked trace matrix, straight into its
+contiguous block of the store.  Forming the fluxes is the only gather:
+two row gathers through Mesh.facet_records.  The trace signs and the
+residual signs of the face couplings are folded into the matrices (value
+traces -1 on the low face, couplings -1 on the high face); only the
+records and face terms of low faces on the domain boundary, where the
+cell is the minus side and n_F = -e_s, are negated after the product.
+Negation is exact, so the iterates keep the bits of applying the signs
+to the data.
 
 The update uses the interior-cell block inverse everywhere, also next to
 the boundary; the residual keeps the exact one-sided boundary fluxes, so
@@ -61,18 +74,23 @@ def _tile(n):
     return min(TILE, n)
 
 
-def _rows_mm(U, M, lo=0, n=None):
+def _rows_mm(U, M, lo=0, n=None, out=None):
     """U @ M.T for rows lo.. of an n-row array, on the global tile grid.
 
     Whole tiles go into one stacked call; a tile the range cuts is
     evaluated in a zero-padded tile buffer with the rows at their global
     offsets.  Row k therefore has the same bits for every range that
-    contains it.
+    contains it.  out, a C-contiguous (len(U), len(M)) array, receives
+    the rows in place of a new array.
     """
     n = len(U) if n is None else n
     T = _tile(n)
     hi = lo + len(U)
-    out = np.empty((len(U), M.shape[0]))
+    if out is None:
+        out = np.empty((len(U), M.shape[0]))
+    elif out.shape != (len(U), M.shape[0]) or not out.flags.c_contiguous:
+        raise SmootherError("_rows_mm needs a C-contiguous output of shape "
+                            f"{(len(U), M.shape[0])}, got {out.shape}")
     a, b = -(-lo // T) * T, hi // T * T     # the whole tiles in [lo, hi)
     if a < b:
         np.matmul(U[a - lo:b - lo].reshape(-1, T, U.shape[1]), M.T,
@@ -123,7 +141,8 @@ class SmootherState:
     """Solution, right-hand side and facet scratch of one smoother run.
 
     proj and flux hold one facet store shared by every subdomain; a
-    subdomain is just its cell range of the partition.
+    subdomain is just its cell range of the partition.  Used as a context
+    manager, the state shuts its task pool down on exit.
     """
 
     mesh: object
@@ -145,13 +164,20 @@ class SmootherState:
     _executor: object = None
     _pending_res: dict = field(default_factory=dict)
     _pending_inv: dict = field(default_factory=dict)
-    _sigma: np.ndarray = None   # (ncells, dim, 2) residual sign, -1 on the minus side
-    _orient: np.ndarray = None  # (ncells, dim, 2) n_F . e_s
+    _traces: np.ndarray = None  # (2*dim*2*nf, nloc) signed traces of all faces
+    _couplings: list = None     # [s][f] signed [Acf_w | Acf_wp]
+    _low_bnd: np.ndarray = None  # c*dim + s of every low face on the boundary
 
     def close(self):
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def set_solution(self, data):
         self.u.data[:] = data
@@ -179,58 +205,69 @@ class SmootherState:
         return self.proj * self.partition.nparts
 
     def _project_range(self, lo, hi):
-        """Cells lo..hi's signed value and derivative traces, one stacked
-        product per face, scattered to the facet rows (facet, side)."""
-        mesh, bl = self.mesh, self.blocks
-        nf = bl.nf
-        U = self.u.data[lo:hi]
-        rows = self.proj[0].data.reshape(-1, 2 * nf)
-        written = self.proj[0].written.reshape(-1)
-        for s in range(mesh.dim):
-            for f in (0, 1):
-                slot = 2 * mesh.cell_facets[lo:hi, s, f] + mesh.cell_side[lo:hi, s, f]
-                Q = _rows_mm(U, np.vstack([bl.Tval[s][f], bl.Tder[s][f]]),
-                             lo, mesh.ncells).reshape(-1, 2, nf)
-                Q *= np.stack([-self._sigma[lo:hi, s, f],
-                               self._orient[lo:hi, s, f]], axis=1)[:, :, None]
-                rows[slot] = Q.reshape(-1, 2 * nf)
-                written[slot] = True
+        """Cells lo..hi's signed value and derivative traces on every face:
+        one product by the stacked trace matrix, written straight into the
+        rows lo..hi of the cell-major store; the low-boundary records are
+        negated afterwards."""
+        mesh, nf = self.mesh, self.blocks.nf
+        proj = self.proj[0]
+        _rows_mm(self.u.data[lo:hi], self._traces, lo, mesh.ncells,
+                 out=proj.data[lo:hi].reshape(hi - lo, -1))
+        i, j = np.searchsorted(self._low_bnd, (lo * mesh.dim, hi * mesh.dim))
+        faces = proj.data.reshape(-1, 2, 2 * nf)    # (cell, axis) by face
+        faces[self._low_bnd[i:j], 0] *= -1
+        proj.written[lo:hi] = True
         self.counters.facet_writes += (hi - lo) * 2 * mesh.dim * nf
 
     def _flux_all(self):
-        """Every facet's flux from the shared projections; boundary facets
-        copy their one-sided record."""
-        pr, fl = self.proj[0].data, self.flux[0].data
-        bnd = self.mesh.facet_boundary
-        fl[:] = apply_flux(pr[:, MINUS], pr[:, PLUS])
-        fl[bnd] = apply_flux(pr[bnd, MINUS], boundary=True)
+        """Every facet's flux from the shared projections: the minus and
+        the plus records, gathered through Mesh.facet_records, averaged in
+        place.  A boundary facet names its minus record twice, and the
+        average of a record with itself is that record, bit for bit."""
         nf = self.blocks.nf
+        recs = self.proj[0].records()
+        fl = self.flux[0].data.reshape(-1, 2 * nf)
+        table = self.mesh.facet_records
+        np.take(recs, table[:, MINUS], axis=0, out=fl, mode="clip")  # unbuffered
+        apply_flux(fl, np.take(recs, table[:, PLUS], axis=0), out=fl)
+        bnd = self.mesh.facet_boundary
         # each subdomain counts the fluxes it touches: interface facets twice
         touches = self.mesh.nfacets + self.partition.interface_facets.size
         nbnd = int(np.count_nonzero(bnd))
         self.counters.facet_reads += (2 * touches - nbnd) * nf
         self.counters.facet_writes += touches * nf
 
-    def _face_terms(self):
-        """Each face's share of every cell's residual, from the current
-        fluxes, one face at a time in (axis, low/high) order: the signed
-        flux rows of the face times [Acf_w | Acf_wp] in one product."""
+    def _subtract_face_terms(self, R, lo=0):
+        """R -= each face's share of the residual of cells lo.., from the
+        current fluxes, one face at a time in (axis, low/high) order: the
+        gathered flux rows of the face times the signed [Acf_w | Acf_wp]
+        in one product, the rows of low faces on the boundary (minus
+        cells there) negated."""
         mesh, bl = self.mesh, self.blocks
+        hi = lo + len(R)
         fl = self.flux[0].data.reshape(mesh.nfacets, 2 * bl.nf)
+        rows, term = np.empty((hi - lo, 2 * bl.nf)), np.empty_like(R)
+        i, j = np.searchsorted(self._low_bnd, (lo * mesh.dim, hi * mesh.dim))
+        low = self._low_bnd[i:j]
         for s in range(mesh.dim):
+            cells = low[low % mesh.dim == s] // mesh.dim - lo
             for f in (0, 1):
-                self.counters.facet_reads += mesh.ncells * bl.nf
-                yield _rows_mm(self._sigma[:, s, f, None]
-                               * np.take(fl, mesh.cell_facets[:, s, f], axis=0),
-                               np.hstack([bl.Acf_w[s][f], bl.Acf_wp[s][f]]))
+                # the facet ids are in range by construction; mode "raise"
+                # would buffer the output
+                np.take(fl, mesh.cell_facets[lo:hi, s, f], axis=0, out=rows,
+                        mode="clip")
+                _rows_mm(rows, self._couplings[s][f], lo, mesh.ncells, out=term)
+                if f == 0:
+                    term[cells] *= -1
+                R -= term
+        self.counters.facet_reads += 2 * mesh.dim * (hi - lo) * bl.nf
 
     def _gather_residual(self, U):
         """b - A u from the current fluxes; one logical traversal."""
         mesh, bl = self.mesh, self.blocks
         R = _rows_mm(U, bl.Acc)
         np.subtract(self.b.data, R, out=R)  # no second (ncells, nloc) array
-        for term in self._face_terms():
-            R -= term
+        self._subtract_face_terms(R)
         self.counters.cell_reads += 2 * mesh.ncells * bl.nloc
         return R
 
@@ -323,10 +360,17 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
         variant=variant, inverse_mode=inverse_mode, workers=workers,
         track_old=track_old,
     )
-    st.proj = [FacetProjection.zeros(mesh.nfacets, blocks.nf)]
+    st.proj = [FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)]
     st.flux = [FacetFlux.zeros(mesh.nfacets, blocks.nf)]
-    st._sigma = np.where(mesh.cell_side == MINUS, -1.0, 1.0)
-    st._orient = mesh.facet_orient[mesh.cell_facets].astype(float)
+    # value traces -1 on the low face, residual couplings -1 on the high
+    # face (the minus side of an interior facet)
+    st._traces = np.vstack([np.vstack([(2 * f - 1) * blocks.Tval[s][f],
+                                       blocks.Tder[s][f]])
+                            for s in range(mesh.dim) for f in (0, 1)])
+    st._couplings = [[(1 - 2 * f) * np.hstack([blocks.Acf_w[s][f],
+                                               blocks.Acf_wp[s][f]])
+                      for f in (0, 1)] for s in range(mesh.dim)]
+    st._low_bnd = np.flatnonzero(mesh.cell_side[:, :, 0] == MINUS)
     return st
 
 
@@ -396,12 +440,12 @@ def sweep_tasked(state):
     """The fused iteration with deferred volumetric work, one task per
     tile of the global tile grid.
 
-    The fluxes and the facet terms of the residual are formed once, in
-    batch, from iterate k's traces.  Per tile: pick up the tile's own
-    pending results, subtract its facet terms in the face order of
-    _gather_residual, update and spawn the next round; re-projection
-    follows the tile loop.  The iterate is bitwise the one sweep_fused
-    produces, for every worker count.
+    The fluxes are formed once, in batch, from iterate k's traces.  Per
+    tile: pick up the tile's own pending results, subtract its facet terms
+    from those fluxes as _gather_residual does (a whole tile of the grid
+    gets the bits of the batched call), update and spawn the next round;
+    re-projection follows the tile loop.  The iterate is bitwise the one
+    sweep_fused produces, for every worker count.
     """
     if not state.warm:
         raise SmootherError("tasked sweep requires warm_up() first")
@@ -409,15 +453,13 @@ def sweep_tasked(state):
     if state.track_old:
         state._backup_old()
     state._flux_all()
-    terms = list(state._face_terms())
     T = _tile(mesh.ncells)
     for t in range(mesh.ncells // T):
         if t not in state._pending_res:
             raise SmootherError(f"tile {t} waits on a task that was never spawned")
         r = state._pending_res.pop(t).result()
         state.counters.tasks_executed += 1
-        for term in terms:
-            r -= term[t * T:(t + 1) * T]
+        state._subtract_face_terms(r, t * T)
         if state.inverse_mode == "percell":
             Sinv = state._pending_inv.pop(t).result()
             state.counters.tasks_executed += 1

@@ -14,7 +14,7 @@ from hpmg import (
     make_state,
     norm,
 )
-from hpmg.fields import DER, MINUS, PLUS
+from hpmg.fields import DER, MINUS
 
 from conftest import blocks_for, mesh_at
 
@@ -55,10 +55,11 @@ def test_cell_field_basics(tmp_path):
 
 
 def test_facet_containers_shapes():
-    proj = FacetProjection.zeros(24, 3)
-    assert proj.data.shape == (24, 2, 2, 3)
-    assert proj.written.shape == (24, 2)
+    proj = FacetProjection.zeros(24, 2, 3)
+    assert proj.data.shape == (24, 2, 2, 2, 3)
+    assert proj.written.shape == (24, 2, 2)
     assert not proj.written.any()
+    assert proj.records().shape == (24 * 2 * 2, 2 * 3)
     flux = FacetFlux.zeros(24, 3)
     assert flux.data.shape == (24, 2, 3)
     vx = VertexField.zeros(16)
@@ -66,36 +67,37 @@ def test_facet_containers_shapes():
 
 
 def test_facet_projection_csv(tmp_path):
-    proj = FacetProjection.zeros(2, 2)
-    proj.data[1, PLUS, DER, 0] = 2.25
+    proj = FacetProjection.zeros(2, 2, 2)
+    proj.data[1, 1, 1, DER, 0] = 2.25   # cell 1, axis 1, high face
     path = tmp_path / "proj.csv"
     proj.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "facet,slot,value"
-    assert len(lines) == 1 + 2 * 8
-    assert "1,6,2.25" in lines
+    assert lines[0] == "cell,slot,value"
+    assert len(lines) == 1 + 2 * 16
+    assert "1,14,2.25" in lines
 
 
 def _filled_projections(mesh, part, nf, seed=7):
-    # every subdomain writes the sides its own cells touch, mirroring a
+    # every subdomain writes the records of its own cells, mirroring a
     # projection traversal
     rng = np.random.default_rng(seed)
-    full = FacetProjection.zeros(mesh.nfacets, nf)
+    full = FacetProjection.zeros(mesh.ncells, mesh.dim, nf)
     full.data[:] = rng.normal(size=full.data.shape)
     full.written[:] = True
     per_part = []
     for q in range(part.nparts):
-        proj = FacetProjection.zeros(mesh.nfacets, nf)
+        proj = FacetProjection.zeros(mesh.ncells, mesh.dim, nf)
         lo, hi = part.cell_range(q)
-        for k in range(lo, hi):
-            for s in range(mesh.dim):
-                for f in (0, 1):
-                    fid = mesh.cell_facets[k, s, f]
-                    side = mesh.cell_side[k, s, f]
-                    proj.data[fid, side] = full.data[fid, side]
-                    proj.written[fid, side] = True
+        proj.data[lo:hi] = full.data[lo:hi]
+        proj.written[lo:hi] = True
         per_part.append(proj)
     return full, per_part
+
+
+def _pair(proj, mesh, f):
+    # the (minus, plus) records of facet f and their written flags
+    rows = mesh.facet_records[f]
+    return proj.records()[rows], proj.written.reshape(-1)[rows]
 
 
 def test_exchange_completes_interface_pairs():
@@ -106,8 +108,9 @@ def test_exchange_completes_interface_pairs():
     for f in part.interface_facets:
         pm, pp = part.corridor[int(f)]
         for q in (pm, pp):
-            assert out[q].written[f].all()
-            np.testing.assert_array_equal(out[q].data[f], full.data[f])
+            data, written = _pair(out[q], mesh, f)
+            assert written.all()
+            np.testing.assert_array_equal(data, _pair(full, mesh, f)[0])
 
 
 def test_exchange_is_bitwise_vs_single_subdomain():
@@ -117,14 +120,15 @@ def test_exchange_is_bitwise_vs_single_subdomain():
     out = exchange_interface(per_part, part)
     for f in part.interface_facets:
         pm, pp = part.corridor[int(f)]
-        assert np.array_equal(out[pm].data[f], full.data[f])
-        assert np.array_equal(out[pp].data[f], full.data[f])
+        want = _pair(full, mesh, f)[0]
+        assert np.array_equal(_pair(out[pm], mesh, f)[0], want)
+        assert np.array_equal(_pair(out[pp], mesh, f)[0], want)
 
 
 def test_exchange_single_part_is_identity():
     mesh = mesh_at(1)
     part = make_partition(mesh, "balanced", 1)
-    proj = FacetProjection.zeros(mesh.nfacets, 2)
+    proj = FacetProjection.zeros(mesh.ncells, mesh.dim, 2)
     out = exchange_interface([proj], part)
     assert out[0] is proj
 
@@ -133,11 +137,12 @@ def test_exchange_rejects_bad_input():
     mesh = mesh_at(1)
     part = make_partition(mesh, "balanced", 2)
     with pytest.raises(FieldError):
-        exchange_interface([FacetProjection.zeros(mesh.nfacets, 2)], part)
+        exchange_interface([FacetProjection.zeros(mesh.ncells, mesh.dim, 2)],
+                           part)
     _, per_part = _filled_projections(mesh, part, nf=2)
     f = int(part.interface_facets[0])
     pm = part.corridor[f][0]
-    per_part[pm].written[f, MINUS] = False
+    per_part[pm].written.reshape(-1)[mesh.facet_records[f, MINUS]] = False
     with pytest.raises(FieldError, match="minus side"):
         exchange_interface(per_part, part)
 

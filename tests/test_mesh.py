@@ -114,6 +114,21 @@ def test_cell_side_matches_facet_record():
                 assert m.facet_cells[f, m.cell_side[k, s, side]] == k
 
 
+def test_facet_records_name_the_cells_faces():
+    # record row (c*dim + s)*2 + f is cell c's face f along axis s: the
+    # minus record is the minus cell's face on the facet, the plus record
+    # the plus cell's; a boundary facet names its minus record twice
+    m = mesh_at(2)
+    for fid in range(m.nfacets):
+        for side in (0, 1):
+            c, rest = divmod(int(m.facet_records[fid, side]), 2 * m.dim)
+            s, f = divmod(rest, 2)
+            assert m.cell_facets[c, s, f] == fid
+            assert m.cell_side[c, s, f] == (0 if m.facet_boundary[fid] else side)
+        if m.facet_boundary[fid]:
+            assert m.facet_records[fid, 0] == m.facet_records[fid, 1]
+
+
 def test_vertices_and_cell_corners():
     m = mesh_at(1)
     assert np.count_nonzero(m.vertex_boundary) == 12
@@ -190,10 +205,12 @@ def test_partition_rejects_bad_requests():
 @pytest.mark.parametrize("mode, nparts", [("balanced", 1), ("balanced", 4),
                                           ("geometric", 3)])
 def test_partition_owner_groups_cover_the_corridor(mode, nparts):
-    part = make_partition(mesh_at(2), mode, nparts)
-    pairs = [(a, b) for a, b, _ in part.owner_groups]
+    part_mesh = mesh_at(2)
+    part = make_partition(part_mesh, mode, nparts)
+    pairs = [(a, b) for a, b, *_ in part.owner_groups]
     assert pairs == sorted(set(part.corridor.values()))
-    grouped = {int(f): (a, b) for a, b, ids in part.owner_groups for f in ids}
+    grouped = {int(f): (a, b) for a, b, ids, _ in part.owner_groups for f in ids}
     assert grouped == part.corridor
-    for _, _, ids in part.owner_groups:
+    for _, _, ids, rows in part.owner_groups:
         assert np.all(np.diff(ids) > 0)
+        np.testing.assert_array_equal(rows, part_mesh.facet_records[ids])

@@ -119,6 +119,19 @@ def test_correction_solves_restricted_system(rng):
     assert np.max(np.abs(rV)) < 1e-11 * np.max(np.abs(bV))
 
 
+@pytest.mark.parametrize("p", [1, 3])
+def test_restriction_matches_scatter_add_bitwise(p, rng):
+    # the accumulation adds the corner contributions in flat cell order,
+    # exactly as an unbuffered scatter-add does
+    mesh, basis, blocks = blocks_for("lobatto", p, 3)
+    R = rng.normal(size=(mesh.ncells, blocks.nloc))
+    want = np.zeros(mesh.nvertices)
+    np.add.at(want, mesh.cell_vertices, R @ blocks.P_loc)
+    want[mesh.vertex_boundary] = 0.0
+    got = restrict_to_vertices(mesh, blocks, R)
+    assert got.tobytes() == want.reshape(mesh.n + 1, mesh.n + 1).tobytes()
+
+
 def test_zero_residual_gives_zero_correction():
     mesh, basis, blocks = blocks_for("lobatto", 2, 1)
     cspace = cspace_at(1)

@@ -183,7 +183,10 @@ def test_boundary_flux_is_one_sided_copy():
     sweep(st)
     pr, fl = st.proj[0].data, st.flux[0].data
     for f in np.where(mesh.facet_boundary)[0]:
-        np.testing.assert_array_equal(fl[f], pr[f, 0])
+        # the minus cell's record on its low (outward -e_s) or high face
+        face = 0 if mesh.facet_orient[f] == -1 else 1
+        np.testing.assert_array_equal(
+            fl[f], pr[mesh.facet_cells[f, 0], mesh.facet_axis[f], face])
 
 
 def test_cold_fused_and_tasked_refuse_to_run():
@@ -209,11 +212,77 @@ def test_rows_mm_rows_do_not_depend_on_the_range(nloc):
               (100, 3000), (5, n), (0, 1500)]         # both
     ranges += [tuple(sorted(gen.choice(n + 1, 2, replace=False)))
                for _ in range(12)]
-    for M in (gen.normal(size=(nloc, nloc)), gen.normal(size=(2 * nf, nloc))):
+    # cell blocks, one face's traces, the stacked traces of all 2*dim faces
+    for M in (gen.normal(size=(nloc, nloc)), gen.normal(size=(2 * nf, nloc)),
+              gen.normal(size=(2 * 2 * 2 * nf, nloc))):
         full = _rows_mm(U, M)
         for lo, hi in ranges:
             part = _rows_mm(U[lo:hi], M, lo, n)
             assert part.tobytes() == full[lo:hi].tobytes(), (lo, hi)
+            # the projection's call: rows written into a slice of a store
+            store = np.full((n + 3, len(M)), np.inf)
+            _rows_mm(U[lo:hi], M, lo, n, out=store[lo + 1:hi + 1])
+            assert store[lo + 1:hi + 1].tobytes() == full[lo:hi].tobytes(), (lo, hi)
+            assert np.isinf(store[:lo + 1]).all() and np.isinf(store[hi + 1:]).all()
+
+
+def test_rows_mm_rejects_an_output_it_cannot_fill_in_place():
+    U, M = np.ones((10, 4)), np.ones((6, 4))
+    with pytest.raises(SmootherError, match="C-contiguous"):
+        _rows_mm(U, M, out=np.empty((10, 12))[:, ::2])
+    with pytest.raises(SmootherError, match="shape"):
+        _rows_mm(U, M, out=np.empty((10, 5)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_projection_records_carry_the_facet_signs(p):
+    # the signs folded into the trace matrices, stated from the mesh: the
+    # value carries -sigma (+1 on the minus side of the facet, -1 on the
+    # plus side), the derivative n_F . e_s (-1 only on the low boundary)
+    mesh, basis, blocks, b, st = _random_setup(p=p, level=2)
+    u = np.random.default_rng(p).normal(size=(mesh.ncells, blocks.nloc))
+    st.set_solution(u)
+    st.project()
+    pr = st.proj[0].data
+    scale = np.max(np.abs(u))
+    for s in range(mesh.dim):
+        for f in (0, 1):
+            sval = np.where(mesh.cell_side[:, s, f] == 0, 1.0, -1.0)[:, None]
+            sder = mesh.facet_orient[mesh.cell_facets[:, s, f]][:, None]
+            np.testing.assert_allclose(pr[:, s, f, VAL],
+                                       sval * (u @ blocks.Tval[s][f].T),
+                                       rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(pr[:, s, f, DER],
+                                       sder * (u @ blocks.Tder[s][f].T),
+                                       rtol=0, atol=1e-12 * scale / mesh.h)
+    # the low boundary is covered: there the cell is the minus side
+    assert (mesh.cell_side[:, :, 0] == 0).any()
+
+
+def test_projection_range_writes_only_its_rows():
+    mesh, basis, blocks, b, st = _random_setup(p=2, level=2)
+    st.set_solution(np.random.default_rng(0).normal(size=(mesh.ncells, blocks.nloc)))
+    part = make_partition(mesh, "geometric", 3)
+    proj = st.proj[0]
+    for q in range(part.nparts):
+        lo, hi = part.cell_range(q)
+        proj.data[:] = np.nan
+        proj.written[:] = False
+        st._project_range(lo, hi)
+        assert np.isfinite(proj.data[lo:hi]).all() and proj.written[lo:hi].all()
+        for rows in (slice(0, lo), slice(hi, None)):
+            assert np.isnan(proj.data[rows]).all(), (q, rows)
+            assert not proj.written[rows].any(), (q, rows)
+
+
+def test_state_as_context_manager_shuts_its_pool_down():
+    *_, st = _random_setup(variant="tasked", workers=2)
+    with st as entered:
+        assert entered is st
+        st.warm_up()
+        sweep(st)
+        assert st._executor is not None
+    assert st._executor is None
 
 
 def test_tasked_guards_against_lost_tasks():
