@@ -4,10 +4,13 @@ Cell data is stored cell-major in curve order with one contiguous block per
 cell.  Facet data comes in two flavours.  The projection field holds every
 cell's signed value and normal-derivative traces on its 2*dim faces, also
 cell-major, so a traversal over a cell range writes one contiguous block.
-The flux field holds the averaged value/derivative pair per facet, formed
-from the two records the mesh names for each facet.  The smoother keeps
-one store of each for the whole mesh, shared by all subdomains, so the
-interface exchange only has to check that both records were written.
+The flux field holds the averaged value/derivative pair of every cell face
+in the same layout, formed from the cell's own record and the record
+across the face (Mesh.opposite_records).  The smoother keeps its trace
+stores for the whole mesh, shared by all subdomains, so the interface
+exchange only has to check that both records were written; only the
+stages sweep keeps a flux store, the single-touch sweeps form a block's
+fluxes into a reused buffer.
 Vertex data carries the coarse continuous space.
 """
 
@@ -92,20 +95,30 @@ class FacetProjection:
 
 @dataclass
 class FacetFlux:
-    """Numerical fluxes per facet: data[facet, quantity, node]."""
+    """Numerical fluxes per cell face: data[cell, axis, face, quantity, node].
+
+    The layout of FacetProjection: row (c*dim + s)*2 + f of records() is
+    the flux of the facet under cell c's face (s, f), so the two cells of
+    an interior facet each hold a copy of its flux, and a boundary face
+    holds the one-sided record of its cell.
+    """
 
     data: np.ndarray
 
     @classmethod
-    def zeros(cls, nfacets, nf):
-        return cls(np.zeros((nfacets, 2, nf)))
+    def zeros(cls, ncells, dim, nf):
+        return cls(np.zeros((ncells, dim, 2, 2, nf)))
+
+    def records(self):
+        """(ncells*dim*2, 2*nf) view, one row per cell face."""
+        return self.data.reshape(-1, 2 * self.data.shape[-1])
 
     def copy(self):
         return FacetFlux(self.data.copy())
 
     def to_csv(self, path):
         flat = self.data.reshape(self.data.shape[0], -1)
-        _dump_csv(path, ("facet", "slot", "value"), flat)
+        _dump_csv(path, ("cell", "slot", "value"), flat)
 
 
 @dataclass

@@ -66,6 +66,9 @@ class Mesh:
     facet_records names the records a facet's flux is formed from: the
     minus cell's high face (its low face on the low boundary) and the
     plus cell's low face; a boundary facet repeats its minus record.
+    opposite_records names, per record, the other record of its facet's
+    pair: the record across the facet, or the record itself on the
+    boundary.
     """
 
     dim: int
@@ -81,6 +84,7 @@ class Mesh:
     cell_facets: np.ndarray     # (ncells, dim, 2) facet id at (axis, low/high face)
     cell_side: np.ndarray       # (ncells, dim, 2) side the cell occupies: 0 minus, 1 plus
     facet_records: np.ndarray   # (nfacets, 2) trace record rows of (minus, plus), see above
+    opposite_records: np.ndarray  # (ncells*dim*2,) record across each record's facet
     neighbors: np.ndarray       # (ncells, dim, 2) neighbour rank or -1
     vertex_coords: np.ndarray   # (nvertices, dim)
     vertex_boundary: np.ndarray # (nvertices,) bool
@@ -194,6 +198,14 @@ def _build_mesh(dim, level):
     facet_records[:, 0] = (facet_cells[:, 0] * dim + facet_axis) * 2 + faces
     facet_records[:, 1] = np.where(facet_boundary, facet_records[:, 0],
                                    (facet_cells[:, 1] * dim + facet_axis) * 2)
+    # the record across each face: the neighbour's opposite face, or the
+    # record itself on the boundary; int32 where the ids fit, which halves
+    # a table the sweeps keep in memory next to the trace stores
+    nrec = ncells * dim * 2
+    own = np.arange(nrec).reshape(ncells, dim, 2)
+    across = (neighbors * dim + np.arange(dim)[:, None]) * 2 + [1, 0]
+    opposite_records = np.where(neighbors >= 0, across, own).reshape(-1).astype(
+        np.int32 if nrec <= np.iinfo(np.int32).max else np.int64)
 
     # vertices, C-major over [0, n]^dim
     vgrids = np.meshgrid(*(np.arange(n + 1) for _ in range(dim)), indexing="ij")
@@ -213,7 +225,8 @@ def _build_mesh(dim, level):
         facet_axis=facet_axis, facet_boundary=facet_boundary,
         facet_orient=facet_orient, facet_cells=facet_cells,
         cell_facets=cell_facets, cell_side=cell_side,
-        facet_records=facet_records, neighbors=neighbors,
+        facet_records=facet_records, opposite_records=opposite_records,
+        neighbors=neighbors,
         vertex_coords=vertex_coords, vertex_boundary=vertex_boundary,
         cell_vertices=cell_vertices,
     )

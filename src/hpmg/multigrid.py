@@ -331,7 +331,9 @@ def _norms(data):
     flat = data.reshape(-1)
     if flat.size == 0:
         return 0.0, 0.0
-    return float(np.linalg.norm(flat)), float(np.max(np.abs(flat)))
+    # max |x| without an |x| temporary; the outer abs keeps the bits of
+    # np.max(np.abs(flat)) for all-zero data and NaN
+    return float(np.linalg.norm(flat)), abs(float(max(flat.max(), -flat.min())))
 
 
 def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
@@ -394,8 +396,10 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                     # re-projection that the next cycle's smoothing consumes
                     exchange_interface(state.project(), state.partition)
                     state.respawn_tasks()
-                d2, di = _norms(state.u.data - snapshot)
-                snapshot = state.u.data.copy()
+                # the change of the iterate, formed in the snapshot buffer
+                np.subtract(state.u.data, snapshot, out=snapshot)
+                d2, di = _norms(snapshot)
+                np.copyto(snapshot, state.u.data)
                 trace.prec_l2.append(d2)
                 trace.prec_linf.append(di)
                 if (cfg.criterion == "prec" and len(trace.prec_l2) >= 2

@@ -4,20 +4,22 @@ Four sweep flavours produce identical iterates by different data flow:
 
   vanilla   one traversal reading the 2*dim neighbour cell blocks directly;
             the condensed neighbour couplings are applied per facet pair.
-  stages    three traversals: project cell data to facets, combine the
-            two-sided projections into fluxes, then accumulate residuals
-            and update.
-  fused     one traversal per iteration after a single warm-up projection
-            traversal; each traversal consumes the projections written at
-            the end of the previous one (fluxes of iterate k are always
-            formed from iterate k's traces, never from a half-updated mix).
-  tasked    the fused traversal with the volumetric residual (and, per
+  stages    three traversals: project cell data to facets, form every
+            cell-face flux into a flux store, then accumulate residuals
+            and update block by block from slices of that store.
+  fused     a single touch of the cells per iteration, after one warm-up
+            projection traversal: one loop over blocks of BLOCK_TILES
+            tiles forms each block's cell-face fluxes, its residual, the
+            update and the re-projection of the updated cells.  Fluxes of
+            iterate k are always formed from iterate k's traces: the loop
+            re-projects into a second trace store, and the two stores swap
+            at the end of the sweep.
+  tasked    the fused iteration with the volumetric residual (and, per
             tile visit, the block factorisation in percell mode) deferred
-            to a task pool, one task per tile; fluxes are formed once per
-            sweep from iterate k's traces by the fused kernels, the tile
-            loop waits for each tile's own tasks only, subtracts the
-            tile's facet terms and spawns its next round, and
-            re-projection follows the tile loop.
+            to a task pool, one task per tile; the tile loop waits for each
+            tile's own tasks only, forms the tile's fluxes and subtracts
+            its face terms with the fused kernels, and spawns its next
+            round; re-projection follows the tile loop.
 
 Every cell-block product goes through _rows_mm, a BLAS product evaluated
 on one global grid of tiles of T = min(729, ncells) consecutive cells (a
@@ -27,21 +29,23 @@ at the same offset in that call always has the same bits.  _rows_mm keeps
 that fixed: whole tiles go into one stacked call, and a range that cuts a
 tile is evaluated in a zero-padded tile-shaped buffer with its rows at
 their global offsets, so no foreign cell is read.  Whatever range a
-subdomain, a task or a batched traversal asks for, every row comes out
-bitwise the same, so stages, fused and tasked, on any subdomain and
-worker count, produce identical iterates.
+subdomain, a task or a block asks for, every row comes out bitwise the
+same, so stages, fused and tasked, on any subdomain and worker count,
+produce identical iterates.  Blocks are whole tiles, a few of them so the
+block's data stays in cache between the kernels.
 
-The projection store is cell-major (see fields.FacetProjection): a cell
-range writes its signed value and derivative traces on all 2*dim faces
-with one product by the stacked trace matrix, straight into its
-contiguous block of the store.  Forming the fluxes is the only gather:
-two row gathers through Mesh.facet_records.  The trace signs and the
+The trace store is cell-major (see fields.FacetProjection): a cell range
+writes its signed value and derivative traces on all 2*dim faces with one
+product by the stacked trace matrix, straight into its contiguous block of
+the store.  The fluxes are the only gather: a block's cell-face fluxes are
+one take of the records across its faces (Mesh.opposite_records), averaged
+in place with the block's own contiguous records.  The trace signs and the
 residual signs of the face couplings are folded into the matrices (value
 traces -1 on the low face, couplings -1 on the high face); only the
-records and face terms of low faces on the domain boundary, where the
-cell is the minus side and n_F = -e_s, are negated after the product.
-Negation is exact, so the iterates keep the bits of applying the signs
-to the data.
+records of low faces on the domain boundary, where the cell is the minus
+side and n_F = -e_s, are negated after the projection, and their fluxes
+before the face-term product.  Negation is exact, so the iterates keep the
+bits of applying the signs to the data.
 
 The update uses the interior-cell block inverse everywhere, also next to
 the boundary; the residual keeps the exact one-sided boundary fluxes, so
@@ -55,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (MINUS, PLUS, CellField, FacetFlux, FacetProjection,
+from .fields import (MINUS, CellField, FacetFlux, FacetProjection,
                      exchange_interface)
 from .localops import apply_flux
 from .mesh import make_partition
@@ -66,12 +70,18 @@ class SmootherError(RuntimeError):
 
 
 TILE = 729
+BLOCK_TILES = 3     # tiles per block of the single-touch traversals
 INVERSE_MODES = ("precomputed", "percell")
 
 
 def _tile(n):
     """Rows per tile of the global grid over n cell rows."""
     return min(TILE, n)
+
+
+def _block(n):
+    """Rows per block of a single-touch traversal over n cell rows."""
+    return min(BLOCK_TILES * _tile(n), n)
 
 
 def _rows_mm(U, M, lo=0, n=None, out=None):
@@ -140,9 +150,12 @@ class SweepCounters:
 class SmootherState:
     """Solution, right-hand side and facet scratch of one smoother run.
 
-    proj and flux hold one facet store shared by every subdomain; a
-    subdomain is just its cell range of the partition.  Used as a context
-    manager, the state shuts its task pool down on exit.
+    proj holds the trace store of the current iterate, one store shared by
+    every subdomain; a subdomain is just its cell range of the partition.
+    The fused sweep re-projects into a second store and swaps the two;
+    flux holds the cell-face flux store of the stages sweep and is empty
+    for the other variants.  Used as a context manager, the state shuts
+    its task pool down on exit.
     """
 
     mesh: object
@@ -167,6 +180,10 @@ class SmootherState:
     _traces: np.ndarray = None  # (2*dim*2*nf, nloc) signed traces of all faces
     _couplings: list = None     # [s][f] signed [Acf_w | Acf_wp]
     _low_bnd: np.ndarray = None  # c*dim + s of every low face on the boundary
+    _next: FacetProjection = None  # the fused sweep's re-projection store
+    _fbuf: np.ndarray = None    # a block's cell-face fluxes, one row per record
+    _rbuf: np.ndarray = None    # a block's residual
+    _term: np.ndarray = None    # one face term of a block
 
     def close(self):
         if self._executor is not None:
@@ -204,13 +221,13 @@ class SmootherState:
             self._project_range(*self.partition.cell_range(part))
         return self.proj * self.partition.nparts
 
-    def _project_range(self, lo, hi):
+    def _project_range(self, lo, hi, store=None):
         """Cells lo..hi's signed value and derivative traces on every face:
         one product by the stacked trace matrix, written straight into the
-        rows lo..hi of the cell-major store; the low-boundary records are
-        negated afterwards."""
+        rows lo..hi of the cell-major store (the current one by default);
+        the low-boundary records are negated afterwards."""
         mesh, nf = self.mesh, self.blocks.nf
-        proj = self.proj[0]
+        proj = self.proj[0] if store is None else store
         _rows_mm(self.u.data[lo:hi], self._traces, lo, mesh.ncells,
                  out=proj.data[lo:hi].reshape(hi - lo, -1))
         i, j = np.searchsorted(self._low_bnd, (lo * mesh.dim, hi * mesh.dim))
@@ -219,56 +236,75 @@ class SmootherState:
         proj.written[lo:hi] = True
         self.counters.facet_writes += (hi - lo) * 2 * mesh.dim * nf
 
-    def _flux_all(self):
-        """Every facet's flux from the shared projections: the minus and
-        the plus records, gathered through Mesh.facet_records, averaged in
-        place.  A boundary facet names its minus record twice, and the
-        average of a record with itself is that record, bit for bit."""
-        nf = self.blocks.nf
+    def _blocks(self):
+        """The (lo, hi) cell ranges of a single-touch traversal: BLOCK_TILES
+        whole tiles of the global grid each, or the whole mesh."""
+        n = self.mesh.ncells
+        size = _block(n)
+        return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+    def _face_fluxes(self, lo, hi, out=None):
+        """The fluxes on every face of cells lo..hi from the current traces,
+        one row per record in the store's order (the block buffer by
+        default): the record across each face, gathered through
+        Mesh.opposite_records, averaged in place with the cell's own.  A
+        boundary record names itself, and the average of a record with
+        itself is that record, bit for bit."""
+        k = 2 * self.mesh.dim
         recs = self.proj[0].records()
-        fl = self.flux[0].data.reshape(-1, 2 * nf)
-        table = self.mesh.facet_records
-        np.take(recs, table[:, MINUS], axis=0, out=fl, mode="clip")  # unbuffered
-        apply_flux(fl, np.take(recs, table[:, PLUS], axis=0), out=fl)
-        bnd = self.mesh.facet_boundary
-        # each subdomain counts the fluxes it touches: interface facets twice
+        if out is None:
+            out = self._fbuf[:(hi - lo) * k]
+        # the record ids are in range by construction; mode "raise" would
+        # buffer the output
+        np.take(recs, self.mesh.opposite_records[lo * k:hi * k], axis=0,
+                out=out, mode="clip")
+        return apply_flux(out, recs[lo * k:hi * k], out=out)
+
+    def _count_fluxes(self):
+        """The flux records of one pass over the mesh: each subdomain counts
+        the fluxes it touches, interface facets twice."""
+        nf = self.blocks.nf
         touches = self.mesh.nfacets + self.partition.interface_facets.size
-        nbnd = int(np.count_nonzero(bnd))
+        nbnd = int(np.count_nonzero(self.mesh.facet_boundary))
         self.counters.facet_reads += (2 * touches - nbnd) * nf
         self.counters.facet_writes += touches * nf
 
-    def _subtract_face_terms(self, R, lo=0):
-        """R -= each face's share of the residual of cells lo.., from the
-        current fluxes, one face at a time in (axis, low/high) order: the
-        gathered flux rows of the face times the signed [Acf_w | Acf_wp]
-        in one product, the rows of low faces on the boundary (minus
-        cells there) negated."""
+    def _subtract_face_terms(self, R, fc, lo):
+        """R -= each face's share of the residual of cells lo.., one face at
+        a time in (axis, low/high) order: the face's rows of the cell-face
+        fluxes fc (as _face_fluxes lays them out) times the signed
+        [Acf_w | Acf_wp].  The rows of low faces on the boundary, where the
+        cell is the minus side, are negated in fc first."""
         mesh, bl = self.mesh, self.blocks
         hi = lo + len(R)
-        fl = self.flux[0].data.reshape(mesh.nfacets, 2 * bl.nf)
-        rows, term = np.empty((hi - lo, 2 * bl.nf)), np.empty_like(R)
         i, j = np.searchsorted(self._low_bnd, (lo * mesh.dim, hi * mesh.dim))
-        low = self._low_bnd[i:j]
+        fc[2 * (self._low_bnd[i:j] - lo * mesh.dim)] *= -1
+        faces = fc.reshape(len(R), mesh.dim, 2, 2 * bl.nf)
+        term = self._term[:len(R)]
         for s in range(mesh.dim):
-            cells = low[low % mesh.dim == s] // mesh.dim - lo
             for f in (0, 1):
-                # the facet ids are in range by construction; mode "raise"
-                # would buffer the output
-                np.take(fl, mesh.cell_facets[lo:hi, s, f], axis=0, out=rows,
-                        mode="clip")
-                _rows_mm(rows, self._couplings[s][f], lo, mesh.ncells, out=term)
-                if f == 0:
-                    term[cells] *= -1
+                _rows_mm(faces[:, s, f], self._couplings[s][f], lo,
+                         mesh.ncells, out=term)
                 R -= term
         self.counters.facet_reads += 2 * mesh.dim * (hi - lo) * bl.nf
 
-    def _gather_residual(self, U):
-        """b - A u from the current fluxes; one logical traversal."""
-        mesh, bl = self.mesh, self.blocks
-        R = _rows_mm(U, bl.Acc)
-        np.subtract(self.b.data, R, out=R)  # no second (ncells, nloc) array
-        self._subtract_face_terms(R)
-        self.counters.cell_reads += 2 * mesh.ncells * bl.nloc
+    def _block_residual(self, lo, hi, R, fc):
+        """R = b - A u on cells lo..hi, given their cell-face fluxes fc; R
+        is a C-contiguous (hi - lo, nloc) array."""
+        bl = self.blocks
+        _rows_mm(self.u.data[lo:hi], bl.Acc, lo, self.mesh.ncells, out=R)
+        np.subtract(self.b.data[lo:hi], R, out=R)
+        self._subtract_face_terms(R, fc, lo)
+        self.counters.cell_reads += 2 * (hi - lo) * bl.nloc
+        return R
+
+    def _gather_residual(self):
+        """b - A u from the current traces; one logical traversal, block
+        by block."""
+        R = np.empty_like(self.u.data)
+        for lo, hi in self._blocks():
+            self._block_residual(lo, hi, R[lo:hi], self._face_fluxes(lo, hi))
+        self._count_fluxes()
         return R
 
     def _cell_inverse(self):
@@ -285,14 +321,13 @@ class SmootherState:
         n = self.mesh.ncells
         self.u.data[lo:lo + len(r)] += self.omega * _rows_mm(r, Sinv, lo, n)
 
-    def _update_range(self, R):
-        """u += omega S^-1 r, tile by tile; percell mode rebuilds the
-        inverse on every tile visit."""
-        n = self.mesh.ncells
-        T = _tile(n)
-        for lo in range(0, n, T):
-            self._update_tile(lo, R[lo:lo + T], self._cell_inverse())
-        self.counters.cell_writes += n * self.blocks.nloc
+    def _update_range(self, R, lo=0):
+        """u += omega S^-1 r on cells lo.., tile by tile; percell mode
+        rebuilds the inverse on every tile visit."""
+        T = _tile(self.mesh.ncells)
+        for t in range(0, len(R), T):
+            self._update_tile(lo + t, R[t:t + T], self._cell_inverse())
+        self.counters.cell_writes += len(R) * self.blocks.nloc
 
     def _backup_old(self):
         if self.u_old is None:
@@ -348,7 +383,9 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
         raise SmootherError(f"workers must be >= 1, got {workers}")
     if partition is None:
         partition = make_partition(mesh, "balanced", 1)
-    bdata = b.data if isinstance(b, CellField) else np.asarray(b)
+    # the smoother only reads b: a float64 C-contiguous one is not copied
+    bdata = np.ascontiguousarray(b.data if isinstance(b, CellField) else b,
+                                 dtype=float)
     if bdata.shape != (mesh.ncells, blocks.nloc):
         raise SmootherError("right-hand side shape does not match mesh/basis")
     u = CellField.zeros(mesh.ncells, blocks.nloc)
@@ -356,12 +393,19 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
         u.data[:] = u0.data if isinstance(u0, CellField) else u0
     st = SmootherState(
         mesh=mesh, basis=basis, blocks=blocks, partition=partition,
-        u=u, b=CellField(np.array(bdata, dtype=float)), omega=omega,
+        u=u, b=CellField(bdata), omega=omega,
         variant=variant, inverse_mode=inverse_mode, workers=workers,
         track_old=track_old,
     )
     st.proj = [FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)]
-    st.flux = [FacetFlux.zeros(mesh.nfacets, blocks.nf)]
+    if variant == "fused":
+        st._next = FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)
+    if variant == "stages":
+        st.flux = [FacetFlux.zeros(mesh.ncells, mesh.dim, blocks.nf)]
+    rows = _block(mesh.ncells)
+    st._fbuf = np.empty((rows * 2 * mesh.dim, 2 * blocks.nf))
+    st._rbuf = np.empty((rows, blocks.nloc))
+    st._term = np.empty((rows, blocks.nloc))
     # value traces -1 on the low face, residual couplings -1 on the high
     # face (the minus side of an interior facet)
     st._traces = np.vstack([np.vstack([(2 * f - 1) * blocks.Tval[s][f],
@@ -408,30 +452,52 @@ def sweep_vanilla(state):
 
 
 def sweep_stages(state):
-    """One iteration as three separate traversals: project, flux, update."""
+    """One iteration as three separate traversals: project, form every
+    cell-face flux into the flux store, then residual and update block by
+    block from slices of that store."""
+    mesh, bl = state.mesh, state.blocks
     exchange_interface(state.project(), state.partition)
-    state.counters.cell_reads += state.mesh.ncells * state.blocks.nloc
+    state.counters.cell_reads += mesh.ncells * bl.nloc
     if state.track_old:
         state._backup_old()
-    state._flux_all()
-    R = state._gather_residual(state.u.data)
-    state._update_range(R)
+    store = state.flux[0].records()
+    state._face_fluxes(0, mesh.ncells, out=store)
+    state._count_fluxes()
+    k = 2 * mesh.dim
+    for lo, hi in state._blocks():
+        # a copy: the face terms negate the low-boundary rows in place
+        fc = state._fbuf[:(hi - lo) * k]
+        np.copyto(fc, store[lo * k:hi * k])
+        R = state._block_residual(lo, hi, state._rbuf[:hi - lo], fc)
+        state._update_range(R, lo)
     state.counters.sweeps += 1
     state.warm = False
     return state
 
 
 def sweep_fused(state):
-    """One iteration in a single traversal, consuming the projections the
-    previous traversal wrote and re-projecting the updated cells."""
+    """One iteration in a single touch of the cells, consuming the traces
+    the previous traversal wrote.
+
+    Block by block: the block's cell-face fluxes from iterate k's traces,
+    b - A u, the update and the re-projection of the updated cells into
+    the second trace store, so no block reads a trace a block before it
+    rewrote.  The stores swap at the end of the sweep.
+    """
     if not state.warm:
         raise SmootherError("fused sweep requires warm_up() first")
     if state.track_old:
         state._backup_old()
-    state._flux_all()
-    R = state._gather_residual(state.u.data)
-    state._update_range(R)
-    exchange_interface(state.project(), state.partition)
+    nxt = state._next
+    nxt.written[:] = False
+    for lo, hi in state._blocks():
+        R = state._block_residual(lo, hi, state._rbuf[:hi - lo],
+                                  state._face_fluxes(lo, hi))
+        state._update_range(R, lo)
+        state._project_range(lo, hi, nxt)
+    state._count_fluxes()
+    state.proj[0], state._next = nxt, state.proj[0]
+    exchange_interface(state.proj * state.partition.nparts, state.partition)
     state.counters.sweeps += 1
     return state
 
@@ -440,33 +506,34 @@ def sweep_tasked(state):
     """The fused iteration with deferred volumetric work, one task per
     tile of the global tile grid.
 
-    The fluxes are formed once, in batch, from iterate k's traces.  Per
-    tile: pick up the tile's own pending results, subtract its facet terms
-    from those fluxes as _gather_residual does (a whole tile of the grid
-    gets the bits of the batched call), update and spawn the next round;
-    re-projection follows the tile loop.  The iterate is bitwise the one
-    sweep_fused produces, for every worker count.
+    Per tile: pick up the tile's own b - Acc u, form the tile's cell-face
+    fluxes from iterate k's traces and subtract its face terms as the
+    fused sweep does (a whole tile of the grid gets the bits of the
+    batched call), update and spawn the next round; re-projection follows
+    the tile loop.  The iterate is bitwise the one sweep_fused produces,
+    for every worker count.
     """
     if not state.warm:
         raise SmootherError("tasked sweep requires warm_up() first")
     mesh, bl = state.mesh, state.blocks
     if state.track_old:
         state._backup_old()
-    state._flux_all()
     T = _tile(mesh.ncells)
     for t in range(mesh.ncells // T):
         if t not in state._pending_res:
             raise SmootherError(f"tile {t} waits on a task that was never spawned")
         r = state._pending_res.pop(t).result()
         state.counters.tasks_executed += 1
-        state._subtract_face_terms(r, t * T)
+        lo = t * T
+        state._subtract_face_terms(r, state._face_fluxes(lo, lo + T), lo)
         if state.inverse_mode == "percell":
             Sinv = state._pending_inv.pop(t).result()
             state.counters.tasks_executed += 1
         else:
             Sinv = bl.Sinv
-        state._update_tile(t * T, r, Sinv)
+        state._update_tile(lo, r, Sinv)
         state._spawn_tile_tasks(t)
+    state._count_fluxes()
     state.counters.cell_reads += 2 * mesh.ncells * bl.nloc
     state.counters.cell_writes += mesh.ncells * bl.nloc
     exchange_interface(state.project(), state.partition)
@@ -496,16 +563,16 @@ def compute_residual_only(state):
         exchange_interface(state.project(), state.partition)
         state.counters.cell_reads += state.mesh.ncells * state.blocks.nloc
         state.warm = True
-    state._flux_all()
-    R = state._gather_residual(state.u.data)
-    return CellField(R)
+    return CellField(state._gather_residual())
 
 
 def apply_operator(mesh, basis, blocks, U, partition=None):
     """Matrix-free A u through the projection/flux/residual pipeline."""
     data = U.data if isinstance(U, CellField) else np.asarray(U)
     zero = CellField.zeros(mesh.ncells, blocks.nloc)
-    st = make_state(mesh, basis, blocks, zero, partition=partition)
+    # never swept: the variant without sweep stores
+    st = make_state(mesh, basis, blocks, zero, partition=partition,
+                    variant="vanilla")
     st.u.data[:] = data
     r = compute_residual_only(st)
     return CellField(-r.data)

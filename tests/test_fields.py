@@ -60,8 +60,9 @@ def test_facet_containers_shapes():
     assert proj.written.shape == (24, 2, 2)
     assert not proj.written.any()
     assert proj.records().shape == (24 * 2 * 2, 2 * 3)
-    flux = FacetFlux.zeros(24, 3)
-    assert flux.data.shape == (24, 2, 3)
+    flux = FacetFlux.zeros(24, 2, 3)
+    assert flux.data.shape == (24, 2, 2, 2, 3)
+    assert flux.records().shape == (24 * 2 * 2, 2 * 3)
     vx = VertexField.zeros(16)
     assert vx.data.shape == (16,)
 

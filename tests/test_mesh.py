@@ -129,6 +129,24 @@ def test_facet_records_name_the_cells_faces():
             assert m.facet_records[fid, 0] == m.facet_records[fid, 1]
 
 
+@pytest.mark.parametrize("dim, level", [(2, 2), (3, 1)])
+def test_opposite_records_pair_each_face_with_the_one_across(dim, level):
+    m = mesh_at(level, dim)
+    opp = m.opposite_records
+    own = np.arange(m.ncells * m.dim * 2)
+    assert opp.shape == own.shape
+    boundary = m.facet_boundary[m.cell_facets].reshape(-1)
+    # an involution on interior records, the identity on boundary ones
+    np.testing.assert_array_equal(opp[opp[~boundary]], own[~boundary])
+    assert (opp[~boundary] != own[~boundary]).all()
+    np.testing.assert_array_equal(opp[boundary], own[boundary])
+    # every (record, opposite) pair is its facet's (minus, plus) pair
+    pairs = m.facet_records[m.cell_facets.reshape(-1)]
+    side = m.cell_side.reshape(-1)
+    np.testing.assert_array_equal(pairs[own, side], own)
+    np.testing.assert_array_equal(pairs[own, 1 - side], opp)
+
+
 def test_vertices_and_cell_corners():
     m = mesh_at(1)
     assert np.count_nonzero(m.vertex_boundary) == 12

@@ -35,6 +35,28 @@ from conftest import blocks_for, cspace_at, mesh_at
 from oracles import blocks_global, dense_vertex_matrix
 
 
+def test_solve_leaves_the_callers_b_alone():
+    mesh, basis, blocks = blocks_for("lobatto", 2, 2)
+    b = build_rhs(get_problem("sin_product"), mesh, basis).data
+    before = b.copy()
+    res = solve(mesh, basis, blocks, b, MgConfig(eps=1e-8))
+    assert res.trace.converged
+    assert b.tobytes() == before.tobytes()
+
+
+def test_norms_keep_the_bits_of_norm_and_max_abs(rng):
+    cases = [rng.normal(size=(50, 7)), -np.abs(rng.normal(size=33)),
+             np.zeros(5), np.array([-0.0, -0.0]), np.array([3.0, -np.inf])]
+    nan = rng.normal(size=40)
+    nan[[3, 17]] = np.nan, -np.nan
+    cases.append(nan)
+    for data in cases:
+        got = np.array(hpmg.multigrid._norms(data))
+        want = np.array([np.linalg.norm(data.reshape(-1)),
+                         np.max(np.abs(data))])
+        assert got.tobytes() == want.tobytes(), data
+
+
 def _interior_random(n, rng):
     E = rng.normal(size=(n + 1, n + 1))
     E[0, :] = E[-1, :] = E[:, 0] = E[:, -1] = 0.0

@@ -14,7 +14,8 @@ from hpmg import (
     sweep,
 )
 from hpmg.fields import DER, VAL
-from hpmg.smoother import _rows_mm, compute_residual_only, sweep_fused, sweep_tasked
+from hpmg.smoother import (BLOCK_TILES, TILE, _rows_mm, compute_residual_only,
+                           sweep_fused, sweep_tasked)
 
 from conftest import blocks_for, rng  # noqa: F401
 from oracles import blocks_global, jacobi_iteration_dense
@@ -107,6 +108,36 @@ def test_partition_and_worker_invariance():
         np.testing.assert_array_equal(other, runs[0])
 
 
+@pytest.mark.parametrize("level, p", [(4, 2), (5, 1)])
+def test_block_traversals_agree_bitwise(level, p):
+    # several blocks of tiles: no block may read traces that an earlier
+    # block of the same sweep already replaced
+    mesh, basis, blocks, b, _ = _random_setup(p=p, level=level)
+    assert mesh.ncells > BLOCK_TILES * min(TILE, mesh.ncells)
+
+    def three_sweeps(**kw):
+        return _run(make_state(mesh, basis, blocks, b, omega=0.9, **kw), 3)
+
+    want = three_sweeps(variant="stages")
+    for nparts in (1, 5):
+        part = make_partition(mesh, "geometric", nparts)
+        np.testing.assert_array_equal(
+            three_sweeps(variant="fused", partition=part), want, str(nparts))
+    np.testing.assert_array_equal(three_sweeps(variant="tasked", workers=2),
+                                  want)
+
+
+def test_make_state_reads_b_in_place_or_as_a_float_copy():
+    mesh, basis, blocks, b, _ = _random_setup()
+    st = make_state(mesh, basis, blocks, b.data)
+    assert st.b.data is b.data
+    ints = np.arange(mesh.ncells * blocks.nloc).reshape(mesh.ncells, -1)
+    st = make_state(mesh, basis, blocks, ints)
+    assert st.b.data.dtype == np.float64
+    assert not np.shares_memory(st.b.data, ints)
+    np.testing.assert_array_equal(st.b.data, ints)
+
+
 def test_vanilla_counter_matches_model():
     for p in (1, 3):
         mesh, basis, blocks, b, st = _random_setup(p=p, variant="vanilla")
@@ -167,13 +198,14 @@ def test_constant_state_produces_zero_interior_value_flux():
     mesh, basis, blocks, b, st = _random_setup(variant="stages")
     st.set_solution(np.full((mesh.ncells, blocks.nloc), 2.5))
     sweep(st)
-    interior = ~mesh.facet_boundary
+    # the cell-face flux store, one record per (cell, axis, face)
+    boundary = mesh.facet_boundary[mesh.cell_facets]
     fl = st.flux[0].data
     # signed value traces of the two sides cancel in the average
-    assert np.max(np.abs(fl[interior, VAL])) < 1e-14
-    assert np.max(np.abs(fl[interior, DER])) < 1e-12
-    # boundary facets copy the one-sided trace of the constant
-    np.testing.assert_allclose(fl[mesh.facet_boundary, VAL], 2.5, atol=1e-14)
+    assert np.max(np.abs(fl[~boundary][:, VAL])) < 1e-14
+    assert np.max(np.abs(fl[~boundary][:, DER])) < 1e-12
+    # boundary faces copy the one-sided trace of the constant
+    np.testing.assert_allclose(fl[boundary][:, VAL], 2.5, atol=1e-14)
 
 
 def test_boundary_flux_is_one_sided_copy():
@@ -185,8 +217,8 @@ def test_boundary_flux_is_one_sided_copy():
     for f in np.where(mesh.facet_boundary)[0]:
         # the minus cell's record on its low (outward -e_s) or high face
         face = 0 if mesh.facet_orient[f] == -1 else 1
-        np.testing.assert_array_equal(
-            fl[f], pr[mesh.facet_cells[f, 0], mesh.facet_axis[f], face])
+        cell_face = (mesh.facet_cells[f, 0], mesh.facet_axis[f], face)
+        np.testing.assert_array_equal(fl[cell_face], pr[cell_face])
 
 
 def test_cold_fused_and_tasked_refuse_to_run():
