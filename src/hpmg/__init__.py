@@ -11,10 +11,10 @@ experiment drivers behind the `hpmg-bench` command line.
 
 from .basis import BasisError, NodalBasis1D, make_basis, ref_matrices
 from .fields import (CellField, FacetFlux, FacetProjection, FieldError,
-                     VertexField, exchange_interface, fmt_float, norm)
+                     exchange_interface, fmt_float, norm)
 from .localops import (AssemblyError, CoarseOps, LocalBlocks, apply_flux,
                        build_coarse_ops, build_local_blocks, default_penalty,
-                       dump_blocks_csv, memory_access_model, predict_blocks)
+                       memory_access_model, predict_blocks)
 from .mesh import (Mesh, MeshError, Partition, build_hierarchy,
                    make_partition, peano_order)
 from .multigrid import (CoarseSolveError, CycleTrace, MgConfig, MgError,
@@ -35,11 +35,11 @@ __all__ = [
     "LocalBlocks", "Mesh", "MeshError", "MgConfig", "MgError", "MgResult",
     "NodalBasis1D", "NonFiniteError", "Partition", "Problem", "ProblemError",
     "SmootherError",
-    "SmootherState", "SweepCounters", "VertexField", "apply_flux",
+    "SmootherState", "SweepCounters", "apply_flux",
     "apply_operator", "build_coarse_ops", "build_coarse_space",
     "build_hierarchy",
     "build_local_blocks", "build_rhs", "cell_nodes", "compute_residual_only",
-    "default_penalty", "discretisation_error", "dump_blocks_csv",
+    "default_penalty", "discretisation_error",
     "exchange_interface",
     "fit_slope", "fmt_float", "get_problem", "interpolate_exact",
     "make_basis", "make_partition", "make_state", "memory_access_model",

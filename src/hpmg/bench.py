@@ -29,7 +29,8 @@ from .mesh import build_hierarchy, make_partition
 from .multigrid import MgConfig, build_coarse_space, solve
 from .problems import (build_rhs, discretisation_error, fit_slope,
                        get_problem, interpolate_exact)
-from .smoother import apply_operator, compute_residual_only, make_state, sweep
+from .smoother import (SWEEPS, apply_operator, compute_residual_only,
+                       make_state, sweep)
 
 OMEGA_SMOOTHER = 0.6   # standalone block-Jacobi default; two-grid uses MgConfig
 
@@ -438,7 +439,7 @@ def run_equivalence_suite(p=3, level=3, problem="two_peak", basis="lobatto",
                           theta=-1.0, penalty=1.0, n_iter=10,
                           subdomains=(1, 2, 4, 8),
                           partitions=("balanced", "geometric"),
-                          variants=("vanilla", "stages", "fused", "tasked"),
+                          variants=tuple(SWEEPS),
                           inverse_modes=("precomputed", "percell"),
                           workers=(1, 4), seed=0, out=".", cli=None):
     """Iterate-invariance across variants, partitions, and worker counts,
@@ -566,7 +567,7 @@ def _add_common(sp):
     sp.add_argument("--coarse", default=None, choices=["exact", "vcycle"])
     sp.add_argument("--criterion", default=None, choices=["prec", "unprec"])
     sp.add_argument("--variant", default=None,
-                    choices=["vanilla", "stages", "fused", "tasked"])
+                    choices=list(SWEEPS))
     sp.add_argument("--inverse", default=None,
                     choices=["precomputed", "percell"])
     sp.add_argument("--subdomains", type=int, nargs="+", default=[1])

@@ -121,21 +121,6 @@ class FacetFlux:
         _dump_csv(path, ("cell", "slot", "value"), flat)
 
 
-@dataclass
-class VertexField:
-    data: np.ndarray
-
-    @classmethod
-    def zeros(cls, nvertices):
-        return cls(np.zeros(nvertices))
-
-    def copy(self):
-        return VertexField(self.data.copy())
-
-    def to_csv(self, path):
-        _dump_csv(path, ("vertex", "node", "value"), self.data.reshape(-1, 1))
-
-
 def _dump_csv(path, header, rows2d):
     import csv
 

@@ -307,34 +307,3 @@ def build_coarse_ops(dim):
     stencil = np.full((3, 3), -1.0 / 3.0)
     stencil[1, 1] = 8.0 / 3.0
     return CoarseOps(dim=dim, stencil=stencil, diag=8.0 / 3.0)
-
-
-def dump_blocks_csv(blocks, directory):
-    """Write each operator block as an (i, j, value) CSV file."""
-    import csv
-    import os
-
-    from .fields import fmt_float
-
-    os.makedirs(directory, exist_ok=True)
-    named = {"Acc": blocks.Acc, "Mcell": blocks.Mcell, "Mf": blocks.Mf,
-             "S": blocks.S, "Sinv": blocks.Sinv, "P_loc": blocks.P_loc}
-    for s in range(blocks.dim):
-        for f in (0, 1):
-            tag = f"ax{s}f{f}"
-            named[f"Tval_{tag}"] = blocks.Tval[s][f]
-            named[f"Tder_{tag}"] = blocks.Tder[s][f]
-            named[f"Acf_w_{tag}"] = blocks.Acf_w[s][f]
-            named[f"Acf_wp_{tag}"] = blocks.Acf_wp[s][f]
-            named[f"Nb_{tag}"] = blocks.Nb[s][f]
-    paths = []
-    for name, mat in named.items():
-        path = os.path.join(directory, f"{name}.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("i", "j", "value"))
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    w.writerow((i, j, fmt_float(mat[i, j])))
-        paths.append(path)
-    return paths

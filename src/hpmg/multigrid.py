@@ -395,7 +395,6 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                     # prolongation traversal of the correction, fused with the
                     # re-projection that the next cycle's smoothing consumes
                     exchange_interface(state.project(), state.partition)
-                    state.respawn_tasks()
                 # the change of the iterate, formed in the snapshot buffer
                 np.subtract(state.u.data, snapshot, out=snapshot)
                 d2, di = _norms(snapshot)

@@ -1,6 +1,7 @@
 """Block-Jacobi smoothers over the cell/projection/flux splitting.
 
-Four sweep flavours produce identical iterates by different data flow:
+Three sweeps, under four variant names, produce identical iterates by
+different data flow:
 
   vanilla   one traversal reading the 2*dim neighbour cell blocks directly;
             the condensed neighbour couplings are applied per facet pair.
@@ -14,12 +15,19 @@ Four sweep flavours produce identical iterates by different data flow:
             iterate k are always formed from iterate k's traces: the loop
             re-projects into a second trace store, and the two stores swap
             at the end of the sweep.
-  tasked    the fused iteration with the volumetric residual (and, per
-            tile visit, the block factorisation in percell mode) deferred
-            to a task pool, one task per tile; the tile loop waits for each
-            tile's own tasks only, forms the tile's fluxes and subtracts
-            its face terms with the fused kernels, and spawns its next
-            round; re-projection follows the tile loop.
+  tasked    another name for fused, kept for the runs that ask for its
+            blocks as tasks (workers > 1).
+
+Every block loop (the fused sweep, the residual and update of the
+stages sweep, the residual traversal) goes through
+SmootherState._each_block.  With one worker, or a mesh of one block,
+that is a plain loop; otherwise the state's thread pool runs one task
+per worker over a contiguous run of blocks, each task with its own block
+buffers.  A block reads only iterate k's stores and writes only its own
+rows of u and of the second trace store, so the tasks are independent
+and the iterate does not depend on the worker count or on the order the
+tasks run in.  The block kernels count nothing; each traversal adds its
+closed-form counts once, on the calling thread.
 
 Every cell-block product goes through _rows_mm, a BLAS product evaluated
 on one global grid of tiles of T = min(729, ncells) consecutive cells (a
@@ -54,7 +62,7 @@ the fixed point is the exact discrete solution.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +130,9 @@ class SweepCounters:
     side or flux) counts (p+1)^(dim-1); the value/derivative pair shares a
     record.  Subdomains share one flux store, so an interface flux is
     computed once, but it is counted once per touching subdomain, as a
-    distributed run would compute it on both sides.
+    distributed run would compute it on both sides.  tasks_spawned and
+    tasks_executed count pool tasks, one per worker's run of blocks of a
+    traversal; a traversal run inline counts none.
     """
 
     cell_reads: int = 0
@@ -154,8 +164,9 @@ class SmootherState:
     every subdomain; a subdomain is just its cell range of the partition.
     The fused sweep re-projects into a second store and swaps the two;
     flux holds the cell-face flux store of the stages sweep and is empty
-    for the other variants.  Used as a context manager, the state shuts
-    its task pool down on exit.
+    for the other variants.  With workers > 1 the block loops run on a
+    thread pool, started by the first traversal of more than one block;
+    used as a context manager, the state shuts it down on exit.
     """
 
     mesh: object
@@ -175,15 +186,11 @@ class SmootherState:
     warm: bool = False
     u_old: CellField = None
     _executor: object = None
-    _pending_res: dict = field(default_factory=dict)
-    _pending_inv: dict = field(default_factory=dict)
     _traces: np.ndarray = None  # (2*dim*2*nf, nloc) signed traces of all faces
     _couplings: list = None     # [s][f] signed [Acf_w | Acf_wp]
     _low_bnd: np.ndarray = None  # c*dim + s of every low face on the boundary
     _next: FacetProjection = None  # the fused sweep's re-projection store
-    _fbuf: np.ndarray = None    # a block's cell-face fluxes, one row per record
-    _rbuf: np.ndarray = None    # a block's residual
-    _term: np.ndarray = None    # one face term of a block
+    _bufs: list = None  # per task: a block's (fluxes, residual, face term)
 
     def close(self):
         if self._executor is not None:
@@ -199,17 +206,13 @@ class SmootherState:
     def set_solution(self, data):
         self.u.data[:] = data
         self.warm = False
-        self._pending_res.clear()
-        self._pending_inv.clear()
 
     # -- traversal stages ---------------------------------------------------
 
     def warm_up(self):
-        """Initial projection traversal; spawns the first task round for
-        the tasked variant."""
+        """Initial projection traversal."""
         exchange_interface(self.project(), self.partition)
         self.warm = True
-        self.respawn_tasks()
 
     def project(self):
         """Projection traversal, subdomain by subdomain, into the shared
@@ -219,6 +222,7 @@ class SmootherState:
         self.proj[0].written[:] = False
         for part in range(self.partition.nparts):
             self._project_range(*self.partition.cell_range(part))
+        self._count(project=True)
         return self.proj * self.partition.nparts
 
     def _project_range(self, lo, hi, store=None):
@@ -234,7 +238,6 @@ class SmootherState:
         faces = proj.data.reshape(-1, 2, 2 * nf)    # (cell, axis) by face
         faces[self._low_bnd[i:j], 0] *= -1
         proj.written[lo:hi] = True
-        self.counters.facet_writes += (hi - lo) * 2 * mesh.dim * nf
 
     def _blocks(self):
         """The (lo, hi) cell ranges of a single-touch traversal: BLOCK_TILES
@@ -243,33 +246,67 @@ class SmootherState:
         size = _block(n)
         return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
-    def _face_fluxes(self, lo, hi, out=None):
+    def _each_block(self, fn):
+        """fn(lo, hi, bufs) for every block, bufs being one task's
+        (fluxes, residual, face term) buffers.  With one worker or one
+        block a plain loop; otherwise one pool task per worker over a
+        contiguous run of blocks, each task with its own buffers."""
+        blocks = self._blocks()
+        ntasks = min(self.workers, len(blocks))
+
+        def run(i):
+            for lo, hi in blocks[i * len(blocks) // ntasks:
+                                 (i + 1) * len(blocks) // ntasks]:
+                fn(lo, hi, self._bufs[i])
+
+        if ntasks == 1:
+            return run(0)
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(max_workers=self.workers)
+        tasks = [self._executor.submit(run, i) for i in range(ntasks)]
+        self.counters.tasks_spawned += ntasks
+        # every task ends before any error is raised, so none still writes
+        wait(tasks)
+        for task in tasks:
+            task.result()
+        self.counters.tasks_executed += ntasks
+
+    def _face_fluxes(self, lo, hi, out):
         """The fluxes on every face of cells lo..hi from the current traces,
-        one row per record in the store's order (the block buffer by
-        default): the record across each face, gathered through
+        one row per record in the store's order, in the first rows of out:
+        the record across each face, gathered through
         Mesh.opposite_records, averaged in place with the cell's own.  A
         boundary record names itself, and the average of a record with
         itself is that record, bit for bit."""
         k = 2 * self.mesh.dim
         recs = self.proj[0].records()
-        if out is None:
-            out = self._fbuf[:(hi - lo) * k]
+        out = out[:(hi - lo) * k]
         # the record ids are in range by construction; mode "raise" would
         # buffer the output
         np.take(recs, self.mesh.opposite_records[lo * k:hi * k], axis=0,
                 out=out, mode="clip")
         return apply_flux(out, recs[lo * k:hi * k], out=out)
 
-    def _count_fluxes(self):
-        """The flux records of one pass over the mesh: each subdomain counts
-        the fluxes it touches, interface facets twice."""
-        nf = self.blocks.nf
-        touches = self.mesh.nfacets + self.partition.interface_facets.size
-        nbnd = int(np.count_nonzero(self.mesh.facet_boundary))
-        self.counters.facet_reads += (2 * touches - nbnd) * nf
-        self.counters.facet_writes += touches * nf
+    def _count(self, project=False, residual=False, update=False):
+        """Add the counts of whole-mesh kernel passes, on the calling
+        thread: the re-projection writes 2*dim records per cell; the
+        residual reads two cell blocks and the 2*dim fluxes of each cell,
+        after forming the fluxes, of which each subdomain counts those it
+        touches, interface facets twice; the update writes one block."""
+        mesh, bl, c = self.mesh, self.blocks, self.counters
+        n, k = mesh.ncells, 2 * mesh.dim
+        if project:
+            c.facet_writes += n * k * bl.nf
+        if residual:
+            touches = mesh.nfacets + self.partition.interface_facets.size
+            nbnd = int(np.count_nonzero(mesh.facet_boundary))
+            c.facet_reads += (2 * touches - nbnd + n * k) * bl.nf
+            c.facet_writes += touches * bl.nf
+            c.cell_reads += 2 * n * bl.nloc
+        if update:
+            c.cell_writes += n * bl.nloc
 
-    def _subtract_face_terms(self, R, fc, lo):
+    def _subtract_face_terms(self, R, fc, lo, term):
         """R -= each face's share of the residual of cells lo.., one face at
         a time in (axis, low/high) order: the face's rows of the cell-face
         fluxes fc (as _face_fluxes lays them out) times the signed
@@ -280,31 +317,35 @@ class SmootherState:
         i, j = np.searchsorted(self._low_bnd, (lo * mesh.dim, hi * mesh.dim))
         fc[2 * (self._low_bnd[i:j] - lo * mesh.dim)] *= -1
         faces = fc.reshape(len(R), mesh.dim, 2, 2 * bl.nf)
-        term = self._term[:len(R)]
+        term = term[:len(R)]
         for s in range(mesh.dim):
             for f in (0, 1):
                 _rows_mm(faces[:, s, f], self._couplings[s][f], lo,
                          mesh.ncells, out=term)
                 R -= term
-        self.counters.facet_reads += 2 * mesh.dim * (hi - lo) * bl.nf
 
-    def _block_residual(self, lo, hi, R, fc):
+    def _block_residual(self, lo, hi, R, fc, term):
         """R = b - A u on cells lo..hi, given their cell-face fluxes fc; R
-        is a C-contiguous (hi - lo, nloc) array."""
-        bl = self.blocks
-        _rows_mm(self.u.data[lo:hi], bl.Acc, lo, self.mesh.ncells, out=R)
+        is a C-contiguous (hi - lo, nloc) array, term a scratch buffer of
+        at least as many rows."""
+        _rows_mm(self.u.data[lo:hi], self.blocks.Acc, lo, self.mesh.ncells,
+                 out=R)
         np.subtract(self.b.data[lo:hi], R, out=R)
-        self._subtract_face_terms(R, fc, lo)
-        self.counters.cell_reads += 2 * (hi - lo) * bl.nloc
+        self._subtract_face_terms(R, fc, lo, term)
         return R
 
     def _gather_residual(self):
         """b - A u from the current traces; one logical traversal, block
         by block."""
         R = np.empty_like(self.u.data)
-        for lo, hi in self._blocks():
-            self._block_residual(lo, hi, R[lo:hi], self._face_fluxes(lo, hi))
-        self._count_fluxes()
+
+        def block(lo, hi, bufs):
+            fluxes, _, term = bufs
+            self._block_residual(lo, hi, R[lo:hi],
+                                 self._face_fluxes(lo, hi, fluxes), term)
+
+        self._each_block(block)
+        self._count(residual=True)
         return R
 
     def _cell_inverse(self):
@@ -317,17 +358,15 @@ class SmootherState:
                          for s in range(bl.dim) for f in (0, 1))
         return np.linalg.inv(S)
 
-    def _update_tile(self, lo, r, Sinv):
-        n = self.mesh.ncells
-        self.u.data[lo:lo + len(r)] += self.omega * _rows_mm(r, Sinv, lo, n)
-
     def _update_range(self, R, lo=0):
         """u += omega S^-1 r on cells lo.., tile by tile; percell mode
         rebuilds the inverse on every tile visit."""
-        T = _tile(self.mesh.ncells)
+        n = self.mesh.ncells
+        T = _tile(n)
         for t in range(0, len(R), T):
-            self._update_tile(lo + t, R[t:t + T], self._cell_inverse())
-        self.counters.cell_writes += len(R) * self.blocks.nloc
+            r = R[t:t + T]
+            self.u.data[lo + t:lo + t + len(r)] += self.omega * _rows_mm(
+                r, self._cell_inverse(), lo + t, n)
 
     def _backup_old(self):
         if self.u_old is None:
@@ -337,43 +376,12 @@ class SmootherState:
         self.counters.cell_reads += self.mesh.ncells * self.blocks.nloc
         self.counters.cell_writes += self.mesh.ncells * self.blocks.nloc
 
-    # -- tasked plumbing ----------------------------------------------------
-
-    def _spawn_tile_tasks(self, t):
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        B, bl, n = self.b.data, self.blocks, self.mesh.ncells
-        T = _tile(n)
-        lo = t * T
-        # freeze the input now: an outer solver may correct the iterate
-        # between spawn and execution, and the result must not depend on
-        # when a worker happens to run the task
-        rows = self.u.data[lo:lo + T].copy()
-
-        def tile_residual():
-            return B[lo:lo + T] - _rows_mm(rows, bl.Acc, lo, n)
-
-        self._pending_res[t] = self._executor.submit(tile_residual)
-        self.counters.tasks_spawned += 1
-        if self.inverse_mode == "percell":
-            self._pending_inv[t] = self._executor.submit(self._cell_inverse)
-            self.counters.tasks_spawned += 1
-
-    def respawn_tasks(self):
-        """(Re)spawn every tile's volumetric tasks of a warm tasked state,
-        replacing pending ones after the iterate changed under the
-        smoother, so the next sweep sees the corrected values."""
-        if self.variant != "tasked" or not self.warm:
-            return
-        for t in range(self.mesh.ncells // _tile(self.mesh.ncells)):
-            self._spawn_tile_tasks(t)
-
 
 def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
                variant="fused", inverse_mode="precomputed", workers=1,
                u0=None, track_old=False):
     """Allocate the solution, facet scratch and index tables of a run."""
-    if variant not in ("vanilla", "stages", "fused", "tasked"):
+    if variant not in SWEEPS:
         raise SmootherError(f"unknown smoother variant {variant!r}")
     if inverse_mode not in INVERSE_MODES:
         raise SmootherError(f"unknown inverse mode {inverse_mode!r}")
@@ -398,14 +406,14 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
         track_old=track_old,
     )
     st.proj = [FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)]
-    if variant == "fused":
+    if variant in ("fused", "tasked"):
         st._next = FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)
     if variant == "stages":
         st.flux = [FacetFlux.zeros(mesh.ncells, mesh.dim, blocks.nf)]
     rows = _block(mesh.ncells)
-    st._fbuf = np.empty((rows * 2 * mesh.dim, 2 * blocks.nf))
-    st._rbuf = np.empty((rows, blocks.nloc))
-    st._term = np.empty((rows, blocks.nloc))
+    st._bufs = [(np.empty((rows * 2 * mesh.dim, 2 * blocks.nf)),
+                 np.empty((rows, blocks.nloc)), np.empty((rows, blocks.nloc)))
+                for _ in range(min(workers, len(st._blocks())))]
     # value traces -1 on the low face, residual couplings -1 on the high
     # face (the minus side of an interior facet)
     st._traces = np.vstack([np.vstack([(2 * f - 1) * blocks.Tval[s][f],
@@ -446,6 +454,7 @@ def sweep_vanilla(state):
             R -= _rows_mm(Upad[idx], bl.Nb[s][f])
     state.counters.cell_reads += (2 + 2 * mesh.dim) * mesh.ncells * bl.nloc
     state._update_range(R)
+    state._count(update=True)
     state.counters.sweeps += 1
     state.warm = False
     return state
@@ -461,15 +470,19 @@ def sweep_stages(state):
     if state.track_old:
         state._backup_old()
     store = state.flux[0].records()
-    state._face_fluxes(0, mesh.ncells, out=store)
-    state._count_fluxes()
+    state._face_fluxes(0, mesh.ncells, store)
     k = 2 * mesh.dim
-    for lo, hi in state._blocks():
+
+    def block(lo, hi, bufs):
+        fluxes, res, term = bufs
         # a copy: the face terms negate the low-boundary rows in place
-        fc = state._fbuf[:(hi - lo) * k]
+        fc = fluxes[:(hi - lo) * k]
         np.copyto(fc, store[lo * k:hi * k])
-        R = state._block_residual(lo, hi, state._rbuf[:hi - lo], fc)
-        state._update_range(R, lo)
+        state._update_range(
+            state._block_residual(lo, hi, res[:hi - lo], fc, term), lo)
+
+    state._each_block(block)
+    state._count(residual=True, update=True)
     state.counters.sweeps += 1
     state.warm = False
     return state
@@ -490,53 +503,18 @@ def sweep_fused(state):
         state._backup_old()
     nxt = state._next
     nxt.written[:] = False
-    for lo, hi in state._blocks():
-        R = state._block_residual(lo, hi, state._rbuf[:hi - lo],
-                                  state._face_fluxes(lo, hi))
+
+    def block(lo, hi, bufs):
+        fluxes, res, term = bufs
+        R = state._block_residual(lo, hi, res[:hi - lo],
+                                  state._face_fluxes(lo, hi, fluxes), term)
         state._update_range(R, lo)
         state._project_range(lo, hi, nxt)
-    state._count_fluxes()
+
+    state._each_block(block)
+    state._count(project=True, residual=True, update=True)
     state.proj[0], state._next = nxt, state.proj[0]
     exchange_interface(state.proj * state.partition.nparts, state.partition)
-    state.counters.sweeps += 1
-    return state
-
-
-def sweep_tasked(state):
-    """The fused iteration with deferred volumetric work, one task per
-    tile of the global tile grid.
-
-    Per tile: pick up the tile's own b - Acc u, form the tile's cell-face
-    fluxes from iterate k's traces and subtract its face terms as the
-    fused sweep does (a whole tile of the grid gets the bits of the
-    batched call), update and spawn the next round; re-projection follows
-    the tile loop.  The iterate is bitwise the one sweep_fused produces,
-    for every worker count.
-    """
-    if not state.warm:
-        raise SmootherError("tasked sweep requires warm_up() first")
-    mesh, bl = state.mesh, state.blocks
-    if state.track_old:
-        state._backup_old()
-    T = _tile(mesh.ncells)
-    for t in range(mesh.ncells // T):
-        if t not in state._pending_res:
-            raise SmootherError(f"tile {t} waits on a task that was never spawned")
-        r = state._pending_res.pop(t).result()
-        state.counters.tasks_executed += 1
-        lo = t * T
-        state._subtract_face_terms(r, state._face_fluxes(lo, lo + T), lo)
-        if state.inverse_mode == "percell":
-            Sinv = state._pending_inv.pop(t).result()
-            state.counters.tasks_executed += 1
-        else:
-            Sinv = bl.Sinv
-        state._update_tile(lo, r, Sinv)
-        state._spawn_tile_tasks(t)
-    state._count_fluxes()
-    state.counters.cell_reads += 2 * mesh.ncells * bl.nloc
-    state.counters.cell_writes += mesh.ncells * bl.nloc
-    exchange_interface(state.project(), state.partition)
     state.counters.sweeps += 1
     return state
 
@@ -545,7 +523,7 @@ SWEEPS = {
     "vanilla": sweep_vanilla,
     "stages": sweep_stages,
     "fused": sweep_fused,
-    "tasked": sweep_tasked,
+    "tasked": sweep_fused,
 }
 
 

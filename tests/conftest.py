@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hpmg.smoother
 from hpmg import build_coarse_space, build_hierarchy, build_local_blocks, make_basis
 
 # caches shared across the whole run; meshes and blocks are immutable
@@ -32,6 +33,28 @@ def blocks_for(kind, p, level, theta=-1.0, penalty_const=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+class RecordingPool(hpmg.smoother.ThreadPoolExecutor):
+    """A thread pool that records its instances and their shutdowns."""
+
+    started = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.closed = False
+        RecordingPool.started.append(self)
+
+    def shutdown(self, *args, **kwargs):
+        self.closed = True
+        super().shutdown(*args, **kwargs)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(hpmg.smoother, "ThreadPoolExecutor", RecordingPool)
+    return RecordingPool
 
 
 # Acceptance tests append one "criterion N ... PASS/FAIL" line each; echoing

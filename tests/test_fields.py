@@ -6,7 +6,6 @@ from hpmg import (
     FacetFlux,
     FacetProjection,
     FieldError,
-    VertexField,
     exchange_interface,
     fmt_float,
     make_basis,
@@ -63,8 +62,6 @@ def test_facet_containers_shapes():
     flux = FacetFlux.zeros(24, 2, 3)
     assert flux.data.shape == (24, 2, 2, 2, 3)
     assert flux.records().shape == (24 * 2 * 2, 2 * 3)
-    vx = VertexField.zeros(16)
-    assert vx.data.shape == (16,)
 
 
 def test_facet_projection_csv(tmp_path):

@@ -8,7 +8,6 @@ from hpmg import (
     build_local_blocks,
     build_hierarchy,
     default_penalty,
-    dump_blocks_csv,
     make_basis,
     memory_access_model,
     predict_blocks,
@@ -241,17 +240,6 @@ def test_basis_change_conjugates_cell_blocks():
                  (b_lob.S, b_leg.S)):
         got = F.T @ a @ F
         assert np.max(np.abs(got - b)) < 1e-10 * np.max(np.abs(b))
-
-
-def test_blocks_csv_dump(tmp_path):
-    _, _, blocks = blocks_for("lobatto", 1, 1)
-    dump_blocks_csv(blocks, tmp_path)
-    files = sorted(f.name for f in tmp_path.iterdir())
-    assert "S.csv" in files and "Acc.csv" in files
-    assert "Tval_ax0f0.csv" in files and "Nb_ax1f1.csv" in files
-    lines = (tmp_path / "S.csv").read_text().strip().splitlines()
-    assert lines[0] == "i,j,value"
-    assert len(lines) == 1 + blocks.nloc ** 2
 
 
 def test_rejects_unsupported_dim():

@@ -495,17 +495,18 @@ def test_config_validation_rejects_out_of_range_values(bad):
         MgConfig(**bad).validate()
 
 
-def test_failed_tasked_solve_shuts_its_thread_pool_down():
+def test_failed_tasked_solve_shuts_its_thread_pool_down(recording_pool):
     # with coarse_max_cycles=1 the exact coarse solve takes one direct step
     # but never checks it, so it raises after the tasked smoother has
-    # started its workers
-    mesh, basis, blocks = blocks_for("lobatto", 2, 2)
+    # started its workers (L4 has three blocks, so the pool runs)
+    mesh, basis, blocks = blocks_for("lobatto", 1, 4)
     b = build_rhs(get_problem("two_peak"), mesh, basis)
     cfg = MgConfig(variant="tasked", workers=2, coarse="exact",
                    coarse_max_cycles=1)
     before = set(threading.enumerate())
     with pytest.raises(CoarseSolveError):
         solve(mesh, basis, blocks, b, cfg)
+    assert [pool.closed for pool in recording_pool.started] == [True]
     leaked = [t for t in threading.enumerate()
               if t not in before and t.name.startswith("ThreadPoolExecutor")]
     assert leaked == []
