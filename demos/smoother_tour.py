@@ -13,14 +13,13 @@ from hpmg import (build_hierarchy, build_local_blocks, build_rhs,
 
 
 def run_variant(mesh, basis, blocks, b, variant, workers=1):
-    st = make_state(mesh, basis, blocks, b, omega=0.6, variant=variant,
-                    workers=workers)
-    if variant in ("fused", "tasked"):
-        st.warm_up()
-    st.counters.reset()
-    for _ in range(10):
-        sweep(st)
-    st.close()
+    with make_state(mesh, basis, blocks, b, omega=0.6, variant=variant,
+                    workers=workers) as st:
+        if variant in ("fused", "tasked"):
+            st.warm_up()
+        st.counters.reset()
+        for _ in range(10):
+            sweep(st)
     per_cell = st.counters.total() / (st.counters.sweeps * mesh.ncells)
     return st.u.data.copy(), per_cell
 

@@ -29,8 +29,8 @@ from .mesh import build_hierarchy, make_partition
 from .multigrid import MgConfig, build_coarse_space, solve
 from .problems import (build_rhs, discretisation_error, fit_slope,
                        get_problem, interpolate_exact)
-from .smoother import (SWEEPS, apply_operator, compute_residual_only,
-                       make_state, sweep)
+from .smoother import (INVERSE_MODES, SWEEPS, apply_operator,
+                       compute_residual_only, make_state, sweep)
 
 OMEGA_SMOOTHER = 0.6   # standalone block-Jacobi default; two-grid uses MgConfig
 
@@ -348,28 +348,27 @@ def run_residual_history(problem="two_peak", p=2, level=3, basis="lobatto",
     if cli is not None and getattr(cli, "variant", None) is not None:
         variant = cli.variant
 
-    st = make_state(mesh, bas, blocks, b.copy(), omega=omega_sm,
-                    variant=variant)
-    st.warm_up()
-    r0 = compute_residual_only(st)
-    n0_2 = float(np.linalg.norm(r0.data))
-    n0_i = float(np.max(np.abs(r0.data)))
     sm_rows = []
-    uprev = st.u.data.copy()
-    d1 = None
-    for it in range(1, max_sweeps + 1):
-        sweep(st)
-        r = compute_residual_only(st)
-        r2 = float(np.linalg.norm(r.data))
-        ri = float(np.max(np.abs(r.data)))
-        diff = float(np.linalg.norm(st.u.data - uprev))
+    with make_state(mesh, bas, blocks, b.copy(), omega=omega_sm,
+                    variant=variant) as st:
+        st.warm_up()
+        r0 = compute_residual_only(st)
+        n0_2 = float(np.linalg.norm(r0.data))
+        n0_i = float(np.max(np.abs(r0.data)))
         uprev = st.u.data.copy()
-        if d1 is None:
-            d1 = diff if diff > 0 else 1.0
-        sm_rows.append((it, r2, ri, r2 / n0_2, ri / n0_i, diff, diff / d1))
-        if r2 <= 1e-7 * n0_2:
-            break
-    st.close()
+        d1 = None
+        for it in range(1, max_sweeps + 1):
+            sweep(st)
+            r = compute_residual_only(st)
+            r2 = float(np.linalg.norm(r.data))
+            ri = float(np.max(np.abs(r.data)))
+            diff = float(np.linalg.norm(st.u.data - uprev))
+            uprev = st.u.data.copy()
+            if d1 is None:
+                d1 = diff if diff > 0 else 1.0
+            sm_rows.append((it, r2, ri, r2 / n0_2, ri / n0_i, diff, diff / d1))
+            if r2 <= 1e-7 * n0_2:
+                break
     paths = [write_csv(os.path.join(out, "history_smoother.csv"),
                        ["sweep", "res_l2", "res_linf", "rel_res_l2",
                         "rel_res_linf", "prec_l2", "rel_prec_l2"], sm_rows)]
@@ -440,7 +439,7 @@ def run_equivalence_suite(p=3, level=3, problem="two_peak", basis="lobatto",
                           subdomains=(1, 2, 4, 8),
                           partitions=("balanced", "geometric"),
                           variants=tuple(SWEEPS),
-                          inverse_modes=("precomputed", "percell"),
+                          inverse_modes=INVERSE_MODES,
                           workers=(1, 4), seed=0, out=".", cli=None):
     """Iterate-invariance across variants, partitions, and worker counts,
     plus instrumented-counter agreement with the access model."""
@@ -455,16 +454,13 @@ def run_equivalence_suite(p=3, level=3, problem="two_peak", basis="lobatto",
 
     def iterate(variant, inverse, pmode, nparts, nworkers):
         part = _partition_for(mesh, pmode, nparts)
-        st = make_state(mesh, bas, blocks, b.copy(), partition=part,
+        with make_state(mesh, bas, blocks, b.copy(), partition=part,
                         omega=omega, variant=variant, inverse_mode=inverse,
-                        workers=nworkers)
-        st.warm_up()
-        for _ in range(n_iter):
-            sweep(st)
-        u = st.u.data.copy()
-        counters = st.counters
-        st.close()
-        return u, counters
+                        workers=nworkers) as st:
+            st.warm_up()
+            for _ in range(n_iter):
+                sweep(st)
+        return st.u.data, st.counters
 
     base, _ = iterate("fused", "precomputed", "balanced", 1, 1)
     scale = float(np.max(np.abs(base)))
@@ -490,13 +486,12 @@ def run_equivalence_suite(p=3, level=3, problem="two_peak", basis="lobatto",
         blocks_p = build_local_blocks(bas_p, 2, mesh.h, theta=theta,
                                       penalty_const=penalty)
         b_p = build_rhs(get_problem(problem), mesh, bas_p)
-        st = make_state(mesh, bas_p, blocks_p, b_p, omega=omega)
-        st.warm_up()
-        st.counters.reset()
-        sweep(st)
+        with make_state(mesh, bas_p, blocks_p, b_p, omega=omega) as st:
+            st.warm_up()
+            st.counters.reset()
+            sweep(st)
         vol_cell = st.counters.volumetric() / mesh.ncells
         total = st.counters.total()
-        st.close()
         model = memory_access_model("fused", 2, pp)
         predicted = predicted_total_accesses(mesh, pp, "fused")
         passed = vol_cell == 3 * (pp + 1) ** 2 and total == predicted
@@ -569,7 +564,7 @@ def _add_common(sp):
     sp.add_argument("--variant", default=None,
                     choices=list(SWEEPS))
     sp.add_argument("--inverse", default=None,
-                    choices=["precomputed", "percell"])
+                    choices=list(INVERSE_MODES))
     sp.add_argument("--subdomains", type=int, nargs="+", default=[1])
     sp.add_argument("--partition", default=None,
                     choices=["balanced", "geometric"])

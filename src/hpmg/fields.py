@@ -6,11 +6,11 @@ cell's signed value and normal-derivative traces on its 2*dim faces, also
 cell-major, so a traversal over a cell range writes one contiguous block.
 The flux field holds the averaged value/derivative pair of every cell face
 in the same layout, formed from the cell's own record and the record
-across the face (Mesh.opposite_records).  The smoother keeps its trace
-stores for the whole mesh, shared by all subdomains, so the interface
-exchange only has to check that both records were written; only the
-stages sweep keeps a flux store, the single-touch sweeps form a block's
-fluxes into a reused buffer.
+across the face (Mesh.opposite_records).  There is one trace store for the
+whole mesh, shared by all subdomains, so the interface exchange has nothing
+to copy: it only checks that both records of every interface facet were
+written.  Only the stages sweep keeps a flux store, the single-touch sweeps
+form a block's fluxes into a reused buffer.
 Vertex data carries the coarse continuous space.
 """
 
@@ -70,7 +70,7 @@ class FacetProjection:
     side of the facet and -1 on the plus side.  Row (c*dim + s)*2 + f of
     records() is one record, the layout Mesh.facet_records indexes.  The
     written flags, one per record, track which records a traversal has
-    produced; they feed the interface exchange and its missing-side check.
+    produced; the interface exchange checks them.
     """
 
     data: np.ndarray
@@ -132,30 +132,20 @@ def _dump_csv(path, header, rows2d):
                 w.writerow((i, j, fmt_float(v)))
 
 
-def exchange_interface(projections, partition):
-    """Complete and check the (minus, plus) record pairs of interface facets.
+def exchange_interface(store, partition):
+    """Check that both records of every interface facet were written.
 
-    projections is one FacetProjection per subdomain; each subdomain has
-    written exactly the records of its own cells.  Both records of every
-    interface facet must have been written, or FieldError names the
-    first missing one: this is the check a distributed run depends on.
-    Between distinct fields the missing records are then copied across, so
-    both subdomains of an interface facet observe the full pair.  The
-    smoother passes its one shared store once per subdomain, so for it
-    the exchange only checks.  A single subdomain passes through untouched.
+    store is the one FacetProjection all subdomains share, each having
+    written the records of its own cells.  If a subdomain skipped its
+    traversal, FieldError names the first interface facet whose minus
+    (then plus) record is missing: this is the check a distributed run
+    depends on.  Returns the store.
     """
-    if len(projections) != partition.nparts:
-        raise FieldError("one projection field per subdomain required")
-    for a, b, sel, rows in partition.owner_groups:
-        for q, side, name in ((a, MINUS, "minus"), (b, PLUS, "plus")):
-            missing = sel[~projections[q].written.reshape(-1)[rows[:, side]]]
-            if missing.size:
-                raise FieldError(f"{name} side of interface facet "
-                                 f"{int(missing[0])} never written")
-        if projections[a] is projections[b]:
-            continue
-        for src, dst, side in ((a, b, MINUS), (b, a, PLUS)):
-            r = rows[:, side]
-            projections[dst].records()[r] = projections[src].records()[r]
-            projections[dst].written.reshape(-1)[r] = True
-    return projections
+    written = store.written.reshape(-1)
+    rows = partition.interface_records
+    for side, name in ((MINUS, "minus"), (PLUS, "plus")):
+        missing = partition.interface_facets[~written[rows[:, side]]]
+        if missing.size:
+            raise FieldError(f"{name} side of interface facet "
+                             f"{int(missing[0])} never written")
+    return store

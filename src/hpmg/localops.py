@@ -249,22 +249,17 @@ def predict_blocks(unit, h, gamma=None):
     return out
 
 
-def apply_flux(q_minus, q_plus=None, boundary=False, out=None):
+def apply_flux(q_minus, q_plus, out=None):
     """Numerical flux record from the two-sided trace records.
 
     A record stacks the signed value trace and the n_F-directed derivative
-    trace.  Interior facets average the two sides, which turns the signed
-    value pair into half the jump; boundary facets copy the one-sided
-    record.  Works on single records and on batches alike; out, which may
-    be q_minus itself, receives the result in place of a new array.
+    trace.  The flux averages the two sides, which turns the signed value
+    pair into half the jump.  A boundary face is paired with its own
+    record (Mesh.opposite_records), and the average of a record with
+    itself is that record, bit for bit.  Works on single records and on
+    batches alike; out, which may be q_minus itself, receives the result
+    in place of a new array.
     """
-    if boundary:
-        if out is None:
-            return np.array(q_minus, copy=True)
-        out[...] = q_minus
-        return out
-    if q_plus is None:
-        raise AssemblyError("interior flux needs both side records")
     if out is None:
         return 0.5 * (q_minus + q_plus)
     np.add(q_minus, q_plus, out=out)

@@ -11,7 +11,7 @@ exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,7 +243,13 @@ def build_hierarchy(dim, level):
 
 @dataclass
 class Partition:
-    """Contiguous curve ranges assigned to subdomains."""
+    """Contiguous curve ranges assigned to subdomains.
+
+    A subdomain is only its cell range: all of them share the mesh-wide
+    trace store.  interface_facets are the interior facets whose two
+    cells lie in different subdomains, in facet-id order, and
+    interface_records their (minus, plus) rows of Mesh.facet_records.
+    """
 
     mode: str
     nparts: int
@@ -251,10 +257,7 @@ class Partition:
     starts: np.ndarray          # nparts+1 offsets into the curve order
     part_of_cell: np.ndarray
     interface_facets: np.ndarray
-    corridor: dict = field(default_factory=dict)  # facet id -> (part minus, part plus)
-    # (part minus, part plus, facet ids, their (minus, plus) record rows)
-    # per owner pair, in pair order
-    owner_groups: tuple = ()
+    interface_records: np.ndarray   # (len(interface_facets), 2)
 
     def cell_range(self, part):
         return int(self.starts[part]), int(self.starts[part + 1])
@@ -288,18 +291,11 @@ def make_partition(mesh, mode, nparts):
     starts = np.concatenate(([0], np.cumsum(sizes)))
     part_of_cell = np.repeat(np.arange(nparts), sizes)
 
-    both = (mesh.facet_cells >= 0).all(axis=1)
-    pm = part_of_cell[mesh.facet_cells[both, 0]]
-    pp = part_of_cell[mesh.facet_cells[both, 1]]
-    cut = pm != pp
-    ids, pm, pp = np.where(both)[0][cut], pm[cut], pp[cut]
-    corridor = {int(f): (int(a), int(b)) for f, a, b in zip(ids, pm, pp)}
-    groups = [(int(a), int(b), ids[(pm == a) & (pp == b)])
-              for a, b in np.unique(np.stack([pm, pp], axis=1), axis=0)]
-    owner_groups = tuple((a, b, sel, mesh.facet_records[sel])
-                         for a, b, sel in groups)
+    both = np.flatnonzero((mesh.facet_cells >= 0).all(axis=1))
+    parts = part_of_cell[mesh.facet_cells[both]]   # (minus, plus) owners
+    ids = both[parts[:, 0] != parts[:, 1]]
     return Partition(
         mode=mode, nparts=nparts, sizes=sizes, starts=starts,
-        part_of_cell=part_of_cell, interface_facets=ids, corridor=corridor,
-        owner_groups=owner_groups,
+        part_of_cell=part_of_cell, interface_facets=ids,
+        interface_records=mesh.facet_records[ids],
     )

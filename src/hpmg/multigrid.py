@@ -11,9 +11,9 @@ bilinear transfers.
 Traversal accounting with the one-traversal smoother: one warm-up
 projection traversal, then per cycle nu smoothing traversals, one
 residual traversal that also restricts, and one prolongation traversal
-that materialises the correction at the start of the following cycle
-(re-projecting the updated cells) or, for the last correction, after the
-final cycle.  A run of n cycles touches the mesh n*(nu+2)+1 times.
+that adds the correction and, when another cycle follows, re-projects the
+updated cells for its smoothing.  A run of n cycles touches the mesh
+n*(nu+2)+1 times.
 
 Stopping is either on the residual recorded in the restriction traversal
 (criterion "unprec", no extra work) or on the difference of consecutive
@@ -381,39 +381,8 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
             trace.traversals += 1
 
         snapshot = state.u.data.copy()
-        pending = None
-        while True:
-            if pending is not None:
-                state.u.data += pending
-                pending = None
-                trace.traversals += 1
-                last = trace.cycles == cfg.max_cycles
-                if last:
-                    # final prolongation traversal, nothing left to re-project for
-                    state.warm = False
-                else:
-                    # prolongation traversal of the correction, fused with the
-                    # re-projection that the next cycle's smoothing consumes
-                    exchange_interface(state.project(), state.partition)
-                # the change of the iterate, formed in the snapshot buffer
-                np.subtract(state.u.data, snapshot, out=snapshot)
-                d2, di = _norms(snapshot)
-                np.copyto(snapshot, state.u.data)
-                trace.prec_l2.append(d2)
-                trace.prec_linf.append(di)
-                if (cfg.criterion == "prec" and len(trace.prec_l2) >= 2
-                        and trace.prec_l2[0] > 0
-                        and d2 <= cfg.eps * trace.prec_l2[0]):
-                    trace.converged = True
-                if ref is not None:
-                    e2, ei = _norms(state.u.data - ref)
-                    trace.err_l2.append(e2)
-                    trace.err_linf.append(ei)
-                    if e2 <= cfg.eps * trace.e0_l2:
-                        trace.converged = True
-                if trace.converged or last:
-                    break
-            trace.cycles += 1
+        for cycle in range(1, cfg.max_cycles + 1):
+            trace.cycles = cycle
             for _ in range(cfg.nu):
                 sweep_fn(state)
                 trace.traversals += sweep_cost
@@ -422,9 +391,35 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
             r2, ri = _norms(r.data)
             trace.res_l2.append(r2)
             trace.res_linf.append(ri)
-            _check_finite(r2, trace.cycles)
+            _check_finite(r2, cycle)
             if cfg.criterion == "unprec" and r2 <= cfg.eps * trace.r0_l2:
                 trace.converged = True
                 break
-            pending, _ = coarse_grid_correction(mesh, blocks, cspace, r.data, cfg)
+            # the prolongation traversal of the correction
+            state.u.data += coarse_grid_correction(mesh, blocks, cspace,
+                                                   r.data, cfg)[0]
+            trace.traversals += 1
+            # the change of the iterate, formed in the snapshot buffer
+            np.subtract(state.u.data, snapshot, out=snapshot)
+            d2, di = _norms(snapshot)
+            np.copyto(snapshot, state.u.data)
+            trace.prec_l2.append(d2)
+            trace.prec_linf.append(di)
+            if (cfg.criterion == "prec" and len(trace.prec_l2) >= 2
+                    and trace.prec_l2[0] > 0
+                    and d2 <= cfg.eps * trace.prec_l2[0]):
+                trace.converged = True
+            if ref is not None:
+                e2, ei = _norms(state.u.data - ref)
+                trace.err_l2.append(e2)
+                trace.err_linf.append(ei)
+                if e2 <= cfg.eps * trace.e0_l2:
+                    trace.converged = True
+            if trace.converged or cycle == cfg.max_cycles:
+                # the traces predate the correction; no cycle reads them
+                state.warm = False
+                break
+            # fused with the prolongation: the re-projection that the next
+            # cycle's smoothing consumes
+            exchange_interface(state.project(), state.partition)
         return MgResult(state.u, trace, state.counters)

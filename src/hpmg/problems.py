@@ -121,7 +121,7 @@ def build_rhs(problem, mesh, basis):
     X = ox[:, 0][:, None, None] + mesh.h * xq[None, :, None]
     Y = ox[:, 1][:, None, None] + mesh.h * xq[None, None, :]
     F = problem.rhs(X, Y) * (mesh.h ** 2 * np.outer(wq, wq))[None]
-    b = np.einsum("cab,ai,bj->cij", F, E, E)
+    b = E.T @ (F @ E)                        # sum_ab F_cab E_ai E_bj
     return CellField(b.reshape(mesh.ncells, basis.n ** 2))
 
 

@@ -216,14 +216,15 @@ class SmootherState:
 
     def project(self):
         """Projection traversal, subdomain by subdomain, into the shared
-        store; returns the store once per subdomain, as the interface
-        exchange expects.  The written flags are cleared first, so the
-        exchange checks this traversal's sides, not an earlier one's."""
-        self.proj[0].written[:] = False
+        store; returns the store for the interface exchange to check.  The
+        written flags are cleared first, so the exchange checks this
+        traversal's sides, not an earlier one's."""
+        store = self.proj[0]
+        store.written[:] = False
         for part in range(self.partition.nparts):
             self._project_range(*self.partition.cell_range(part))
         self._count(project=True)
-        return self.proj * self.partition.nparts
+        return store
 
     def _project_range(self, lo, hi, store=None):
         """Cells lo..hi's signed value and derivative traces on every face:
@@ -514,7 +515,7 @@ def sweep_fused(state):
     state._each_block(block)
     state._count(project=True, residual=True, update=True)
     state.proj[0], state._next = nxt, state.proj[0]
-    exchange_interface(state.proj * state.partition.nparts, state.partition)
+    exchange_interface(state.proj[0], state.partition)
     state.counters.sweeps += 1
     return state
 

@@ -13,7 +13,7 @@ from hpmg import (
     make_state,
     norm,
 )
-from hpmg.fields import DER, MINUS
+from hpmg.fields import DER, MINUS, PLUS
 
 from conftest import blocks_for, mesh_at
 
@@ -75,74 +75,27 @@ def test_facet_projection_csv(tmp_path):
     assert "1,14,2.25" in lines
 
 
-def _filled_projections(mesh, part, nf, seed=7):
-    # every subdomain writes the records of its own cells, mirroring a
-    # projection traversal
-    rng = np.random.default_rng(seed)
-    full = FacetProjection.zeros(mesh.ncells, mesh.dim, nf)
-    full.data[:] = rng.normal(size=full.data.shape)
-    full.written[:] = True
-    per_part = []
-    for q in range(part.nparts):
-        proj = FacetProjection.zeros(mesh.ncells, mesh.dim, nf)
-        lo, hi = part.cell_range(q)
-        proj.data[lo:hi] = full.data[lo:hi]
-        proj.written[lo:hi] = True
-        per_part.append(proj)
-    return full, per_part
-
-
-def _pair(proj, mesh, f):
-    # the (minus, plus) records of facet f and their written flags
-    rows = mesh.facet_records[f]
-    return proj.records()[rows], proj.written.reshape(-1)[rows]
-
-
-def test_exchange_completes_interface_pairs():
-    mesh = mesh_at(1)
-    part = make_partition(mesh, "balanced", 3)
-    full, per_part = _filled_projections(mesh, part, nf=2)
-    out = exchange_interface(per_part, part)
-    for f in part.interface_facets:
-        pm, pp = part.corridor[int(f)]
-        for q in (pm, pp):
-            data, written = _pair(out[q], mesh, f)
-            assert written.all()
-            np.testing.assert_array_equal(data, _pair(full, mesh, f)[0])
-
-
-def test_exchange_is_bitwise_vs_single_subdomain():
-    mesh = mesh_at(2)
-    part = make_partition(mesh, "geometric", 4)
-    full, per_part = _filled_projections(mesh, part, nf=3)
-    out = exchange_interface(per_part, part)
-    for f in part.interface_facets:
-        pm, pp = part.corridor[int(f)]
-        want = _pair(full, mesh, f)[0]
-        assert np.array_equal(_pair(out[pm], mesh, f)[0], want)
-        assert np.array_equal(_pair(out[pp], mesh, f)[0], want)
-
-
 def test_exchange_single_part_is_identity():
     mesh = mesh_at(1)
     part = make_partition(mesh, "balanced", 1)
     proj = FacetProjection.zeros(mesh.ncells, mesh.dim, 2)
-    out = exchange_interface([proj], part)
-    assert out[0] is proj
+    assert exchange_interface(proj, part) is proj
 
 
 def test_exchange_rejects_bad_input():
+    # one shared store that every subdomain wrote, as a projection
+    # traversal leaves it, but for one side of one interface facet
     mesh = mesh_at(1)
     part = make_partition(mesh, "balanced", 2)
-    with pytest.raises(FieldError):
-        exchange_interface([FacetProjection.zeros(mesh.ncells, mesh.dim, 2)],
-                           part)
-    _, per_part = _filled_projections(mesh, part, nf=2)
     f = int(part.interface_facets[0])
-    pm = part.corridor[f][0]
-    per_part[pm].written.reshape(-1)[mesh.facet_records[f, MINUS]] = False
-    with pytest.raises(FieldError, match="minus side"):
-        exchange_interface(per_part, part)
+    for side, name in ((MINUS, "minus"), (PLUS, "plus")):
+        store = FacetProjection.zeros(mesh.ncells, mesh.dim, 2)
+        store.written[:] = True
+        assert exchange_interface(store, part) is store
+        store.written.reshape(-1)[mesh.facet_records[f, side]] = False
+        with pytest.raises(FieldError,
+                           match=f"{name} side of interface facet {f} never"):
+            exchange_interface(store, part)
 
 
 @pytest.mark.parametrize("kind", ["lobatto", "legendre"])

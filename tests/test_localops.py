@@ -167,12 +167,10 @@ def test_flux_record_semantics(rng):
     np.testing.assert_allclose(apply_flux(ones, ones), ones, atol=0.0)
     # signed value traces of a continuous function cancel
     np.testing.assert_allclose(apply_flux(ones, -ones), np.zeros(3), atol=0.0)
-    out = apply_flux(qm, boundary=True)
-    np.testing.assert_allclose(out, qm, atol=0.0)
-    out[0, 0] += 1.0
-    assert out[0, 0] != qm[0, 0]  # boundary copy must not alias
-    with pytest.raises(AssemblyError):
-        apply_flux(qm)
+    # a boundary face is paired with its own record: the average of a
+    # record with itself is that record, bit for bit
+    q = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-300, 300, size=(50, 1))
+    assert apply_flux(q, q).tobytes() == q.tobytes()
 
 
 def test_flux_record_into_out(rng):
@@ -183,9 +181,9 @@ def test_flux_record_into_out(rng):
     buf = qm.copy()
     assert apply_flux(buf, qp, out=buf) is buf
     assert buf.tobytes() == want.tobytes()
-    out = np.empty_like(qm)
-    assert apply_flux(qm, boundary=True, out=out) is out
-    np.testing.assert_array_equal(out, qm)
+    buf = qm.copy()
+    assert apply_flux(buf, buf, out=buf) is buf
+    assert buf.tobytes() == qm.tobytes()
 
 
 D2_VANILLA = [36, 81, 144, 225, 324, 441, 576, 729, 900, 1089]

@@ -200,10 +200,12 @@ def test_partition_interface_facets():
         cm, cp = m.facet_cells[f]
         crosses = part.part_of_cell[cm] != part.part_of_cell[cp]
         assert (f in iface) == crosses
-    for f, (pm, pp) in part.corridor.items():
-        cm, cp = m.facet_cells[f]
-        assert pm == part.part_of_cell[cm]
-        assert pp == part.part_of_cell[cp]
+    assert np.all(np.diff(part.interface_facets) > 0)
+    # each interface facet has both cells, owned by different subdomains
+    cells = m.facet_cells[part.interface_facets]
+    assert np.all(cells >= 0)
+    pm, pp = part.part_of_cell[cells].T
+    assert np.all(pm != pp)
     # contiguous curve ranges keep every subdomain connected, so any part
     # with more than zero cells shows up in part_of_cell exactly sizes times
     counts = np.bincount(part.part_of_cell, minlength=4)
@@ -222,13 +224,17 @@ def test_partition_rejects_bad_requests():
 
 @pytest.mark.parametrize("mode, nparts", [("balanced", 1), ("balanced", 4),
                                           ("geometric", 3)])
-def test_partition_owner_groups_cover_the_corridor(mode, nparts):
-    part_mesh = mesh_at(2)
-    part = make_partition(part_mesh, mode, nparts)
-    pairs = [(a, b) for a, b, *_ in part.owner_groups]
-    assert pairs == sorted(set(part.corridor.values()))
-    grouped = {int(f): (a, b) for a, b, ids, _ in part.owner_groups for f in ids}
-    assert grouped == part.corridor
-    for _, _, ids, rows in part.owner_groups:
-        assert np.all(np.diff(ids) > 0)
-        np.testing.assert_array_equal(rows, part_mesh.facet_records[ids])
+def test_partition_interface_records_are_the_cut_facets(mode, nparts):
+    m = mesh_at(2)
+    part = make_partition(m, mode, nparts)
+    owners = np.where(m.facet_cells >= 0,
+                      part.part_of_cell[m.facet_cells], -1)
+    cut = np.flatnonzero((owners >= 0).all(axis=1)
+                         & (owners[:, 0] != owners[:, 1]))
+    np.testing.assert_array_equal(part.interface_facets, cut)
+    assert part.interface_records.shape == (cut.size, 2)
+    np.testing.assert_array_equal(part.interface_records, m.facet_records[cut])
+    # record rows are cell-major: both name the facet's own cells
+    np.testing.assert_array_equal(part.interface_records // (2 * m.dim),
+                                  m.facet_cells[cut])
+    assert (cut.size == 0) == (nparts == 1)

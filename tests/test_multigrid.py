@@ -13,6 +13,7 @@ from hpmg import (
     MgConfig,
     MgError,
     NonFiniteError,
+    SmootherState,
     apply_operator,
     build_coarse_space,
     build_rhs,
@@ -289,6 +290,20 @@ def test_traversal_accounting():
     res = solve(mesh, basis, blocks, b, cfg)
     assert res.trace.converged
     assert res.trace.traversals == res.trace.cycles * (cfg.nu + 2) + 1
+
+
+def test_converged_solve_projects_once_per_cycle(monkeypatch):
+    # the warm-up and the re-projection after every correction but the
+    # last, which no cycle reads
+    mesh, basis, blocks = blocks_for("lobatto", 2, 2)
+    b = build_rhs(get_problem("two_peak"), mesh, basis)
+    calls = []
+    project = SmootherState.project
+    monkeypatch.setattr(SmootherState, "project",
+                        lambda st: calls.append(1) or project(st))
+    res = solve(mesh, basis, blocks, b, MgConfig(variant="fused", eps=1e-7))
+    assert res.trace.converged
+    assert len(calls) == res.trace.cycles > 1
 
 
 def test_zero_rhs_short_circuits():
