@@ -1,4 +1,4 @@
-"""Degree-of-freedom containers for cell, facet and vertex data.
+"""Degree-of-freedom containers for cell and facet data.
 
 Cell data is stored cell-major in curve order with one contiguous block per
 cell.  Facet data comes in two flavours.  The projection field holds every
@@ -11,7 +11,6 @@ whole mesh, shared by all subdomains, so the interface exchange has nothing
 to copy: it only checks that both records of every interface facet were
 written.  Only the stages sweep keeps a flux store, the single-touch sweeps
 form a block's fluxes into a reused buffer.
-Vertex data carries the coarse continuous space.
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ class CellField:
     def copy(self):
         return CellField(self.data.copy())
 
-    def to_csv(self, path):
-        _dump_csv(path, ("cell", "node", "value"), self.data)
-
 
 @dataclass
 class FacetProjection:
@@ -85,13 +81,6 @@ class FacetProjection:
         """(ncells*dim*2, 2*nf) view, one row per record."""
         return self.data.reshape(-1, 2 * self.data.shape[-1])
 
-    def copy(self):
-        return FacetProjection(self.data.copy(), self.written.copy())
-
-    def to_csv(self, path):
-        flat = self.data.reshape(self.data.shape[0], -1)
-        _dump_csv(path, ("cell", "slot", "value"), flat)
-
 
 @dataclass
 class FacetFlux:
@@ -112,24 +101,6 @@ class FacetFlux:
     def records(self):
         """(ncells*dim*2, 2*nf) view, one row per cell face."""
         return self.data.reshape(-1, 2 * self.data.shape[-1])
-
-    def copy(self):
-        return FacetFlux(self.data.copy())
-
-    def to_csv(self, path):
-        flat = self.data.reshape(self.data.shape[0], -1)
-        _dump_csv(path, ("cell", "slot", "value"), flat)
-
-
-def _dump_csv(path, header, rows2d):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i, row in enumerate(rows2d):
-            for j, v in enumerate(np.atleast_1d(row)):
-                w.writerow((i, j, fmt_float(v)))
 
 
 def exchange_interface(store, partition):

@@ -21,12 +21,14 @@ Sign conventions: on a facet with normal n_F the minus-side value trace
 enters with +1 and the plus side with -1, so the value flux equals half
 the jump; derivative traces are taken along n_F on both sides.  The sign
 of a cell's facet contribution to its residual is -1 on the side whose
-outward normal equals n_F (the minus cell) and +1 on the other.
+outward normal equals n_F (the minus cell) and +1 on the other.  The signs
+live here only: _condense folds them into the condensed blocks, and
+LocalBlocks into the signed stacks the traversals read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,12 +62,21 @@ def default_penalty(p, h, penalty_const=1.0):
 class LocalBlocks:
     """All cell-local operator blocks of one (basis, h, theta, gamma) set.
 
-    Indexing: per axis s and face f (0 low, 1 high).  Acf_w / Acf_wp are the
-    unsigned couplings of the value and derivative flux into the cell
-    residual; the per-incidence sign (minus cell -1, plus cell +1) is applied
-    by the traversals.  D_int / D_bnd are the facet contributions to the
-    cell's own diagonal for interior and boundary facets, Nb the coupling to
-    the neighbour across an interior facet.
+    The per-face blocks are stacked arrays whose two leading axes are the
+    face: axis s and face f (0 low, 1 high), so X[s][f] or X[s, f] is one
+    face's block.  Tval / Tder (dim, 2, nf, nloc) map cell dofs to the
+    face's value and derivative traces.  Acf_w / Acf_wp (dim, 2, nloc, nf)
+    are the unsigned couplings of the value and derivative flux into the
+    cell residual.  D_int / D_bnd (dim, 2, nloc, nloc) are the facet
+    contributions to the cell's own diagonal for interior and boundary
+    facets, Nb the coupling to the neighbour across an interior facet.
+
+    The traversals read two signed stacks built from these.  traces
+    (2*dim*2*nf, nloc) holds the value and derivative traces of all 2*dim
+    faces in (s, f) order, the value -1 on the low face, where the cell is
+    the plus side of an interior facet.  couplings (dim, 2, nloc, 2*nf)
+    holds [Acf_w | Acf_wp] of each face, -1 on the high face, where the
+    cell is the minus side.
     """
 
     kind: str
@@ -79,24 +90,56 @@ class LocalBlocks:
     Acc: np.ndarray
     Mcell: np.ndarray
     Mf: np.ndarray
-    Tval: list
-    Tder: list
-    Acf_w: list
-    Acf_wp: list
-    D_int: list
-    D_bnd: list
-    Nb: list
+    Tval: np.ndarray
+    Tder: np.ndarray
+    Acf_w: np.ndarray
+    Acf_wp: np.ndarray
+    D_int: np.ndarray
+    D_bnd: np.ndarray
+    Nb: np.ndarray
     S: np.ndarray
     Sinv: np.ndarray
     P_loc: np.ndarray
+    traces: np.ndarray = field(init=False)
+    couplings: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        low_high = np.array([-1.0, 1.0])[:, None, None]
+        self.traces = np.stack([low_high * self.Tval, self.Tder],
+                               axis=2).reshape(-1, self.nloc)
+        self.couplings = -low_high * np.concatenate([self.Acf_w, self.Acf_wp],
+                                                    axis=3)
 
     def assemble_true_diagonal(self, boundary_faces):
         """Diagonal block of a cell whose faces (s, f) in the set are on
         the domain boundary; equals S for a fully interior cell."""
         A = self.S.copy()
         for (s, f) in boundary_faces:
-            A += self.D_bnd[s][f] - self.D_int[s][f]
+            A += self.D_bnd[s, f] - self.D_int[s, f]
         return A
+
+
+def _condense(Tval, Tder, f, a_w, a_wp=None):
+    """The facet terms of face f (0 low, 1 high) of one axis, given the
+    face's value and derivative flux couplings a_w, a_wp (None for none)
+    and the axis' traces Tval, Tder, low face first: (D_int, D_bnd, Nb).
+
+    On its high face the cell is the minus side of an interior facet: the
+    face's residual sign is -1 and its value trace enters the flux with +1,
+    the neighbour's, projected from the neighbour's opposite face, with -1;
+    on the low face all three flip.  A boundary facet is always the minus
+    side, with a one-sided flux and n_F = -e_s on the low face.
+    """
+    sig = -1.0 if f == 1 else 1.0   # residual sign, neighbour's value sign
+    sv = -sig                       # own value sign, n_F . e_s on a boundary
+    d_int = a_w @ (0.5 * sv * Tval[f])
+    d_bnd = a_w @ Tval[f]
+    nb = a_w @ (0.5 * sig * Tval[1 - f])
+    if a_wp is not None:
+        d_int = d_int + a_wp @ (0.5 * Tder[f])
+        d_bnd = d_bnd + a_wp @ (sv * Tder[f])
+        nb = nb + a_wp @ (0.5 * Tder[1 - f])
+    return sig * d_int, -1.0 * d_bnd, sig * nb
 
 
 def build_local_blocks(basis, dim, h, theta=-1.0, penalty_const=1.0, gamma=None):
@@ -120,46 +163,24 @@ def build_local_blocks(basis, dim, h, theta=-1.0, penalty_const=1.0, gamma=None)
     Mcell = _kron_chain([r.mass] * dim)
     Mf = _kron_chain([r.mass] * (dim - 1)) if dim > 1 else np.ones((1, 1))
 
-    Tval = [[_trace_matrix(r.e0, dim, s, n1), _trace_matrix(r.e1, dim, s, n1)]
-            for s in range(dim)]
-    Tder = [[_trace_matrix(r.g0, dim, s, n1), _trace_matrix(r.g1, dim, s, n1)]
-            for s in range(dim)]
+    Tval = np.array([[_trace_matrix(v, dim, s, n1) for v in (r.e0, r.e1)]
+                     for s in range(dim)])
+    Tder = np.array([[_trace_matrix(g, dim, s, n1) for g in (r.g0, r.g1)]
+                     for s in range(dim)])
 
-    Acf_w, Acf_wp, D_int, D_bnd, Nb = [], [], [], [], []
-    for s in range(dim):
-        row_w, row_wp, row_di, row_db, row_nb = [], [], [], [], []
-        for f in (0, 1):
-            sign_out = 1.0 if f == 1 else -1.0     # outward normal vs axis
-            TvMf = Tval[s][f].T @ Mf
-            TdMf = Tder[s][f].T @ Mf
-            a_w = -theta * sign_out * TdMf - gamma * TvMf
-            a_wp = TvMf
-            row_w.append(a_w)
-            row_wp.append(a_wp)
-            # interior facet: high face means this cell is the minus side
-            if f == 1:
-                sig, sv, onb = -1.0, 1.0, 1.0
-            else:
-                sig, sv, onb = 1.0, -1.0, 1.0
-            row_di.append(sig * (a_w @ (0.5 * sv * Tval[s][f])
-                                 + a_wp @ (0.5 * onb * Tder[s][f])))
-            # boundary facet: always the minus side, one-sided flux,
-            # n_F flips to -e_s on the low face
-            ob = 1.0 if f == 1 else -1.0
-            row_db.append(-1.0 * (a_w @ Tval[s][f] + a_wp @ (ob * Tder[s][f])))
-            # neighbour across an interior facet projects from its own
-            # opposite face
-            fn = 1 - f
-            svn = -1.0 if f == 1 else 1.0          # neighbour side sign
-            row_nb.append(sig * (a_w @ (0.5 * svn * Tval[s][fn])
-                                 + a_wp @ (0.5 * Tder[s][fn])))
-        Acf_w.append(row_w)
-        Acf_wp.append(row_wp)
-        D_int.append(row_di)
-        D_bnd.append(row_db)
-        Nb.append(row_nb)
+    Acf_w = np.empty((dim, 2, nloc, nf))
+    Acf_wp = np.empty_like(Acf_w)
+    D_int, D_bnd, Nb = (np.empty((dim, 2, nloc, nloc)) for _ in range(3))
+    for s, f in np.ndindex(dim, 2):
+        sign_out = 1.0 if f == 1 else -1.0     # outward normal vs axis
+        TvMf = Tval[s, f].T @ Mf
+        TdMf = Tder[s, f].T @ Mf
+        Acf_w[s, f] = -theta * sign_out * TdMf - gamma * TvMf
+        Acf_wp[s, f] = TvMf
+        D_int[s, f], D_bnd[s, f], Nb[s, f] = _condense(
+            Tval[s], Tder[s], f, Acf_w[s, f], Acf_wp[s, f])
 
-    S = Acc + sum(D_int[s][f] for s in range(dim) for f in (0, 1))
+    S = Acc + sum(D_int.reshape(-1, nloc, nloc))
     # at theta = -1 the facet terms can cancel Acc entirely (p = 1, gamma = 0
     # leaves an exact zero block), so singularity is judged against the
     # scale of the ingredients, not of S itself
@@ -199,7 +220,8 @@ def predict_blocks(unit, h, gamma=None):
     Every block splits into a main part scaling with a fixed power of h and
     a penalty part proportional to gamma * h^(d-1); both parts are recovered
     from the unit-size blocks, so one assembly serves the whole hierarchy.
-    Returns a dict of predicted arrays.
+    The penalty part of a facet term is its condensation with the value
+    coupling -Tval^T Mf alone.  Returns a dict of predicted arrays.
     """
     if unit.h != 1.0:
         raise AssemblyError("prediction needs blocks assembled at h = 1")
@@ -212,41 +234,25 @@ def predict_blocks(unit, h, gamma=None):
         main = block - g1 * pen_route
         return h ** (d - 2) * main + gamma * h ** (d - 1) * pen_route
 
-    out = {
+    pen_u = np.empty_like(unit.Acf_w)
+    pen = np.empty((3,) + unit.D_int.shape)      # D_int, D_bnd, Nb routes
+    for s, f in np.ndindex(d, 2):
+        pen_u[s, f] = -(unit.Tval[s, f].T @ unit.Mf)
+        pen[:, s, f] = _condense(unit.Tval[s], unit.Tder[s], f, pen_u[s, f])
+    return {
         "Acc": h ** (d - 2) * unit.Acc,
         "Mcell": h ** d * unit.Mcell,
         "Mf": h ** (d - 1) * unit.Mf,
-        "Tval": [[unit.Tval[s][f].copy() for f in (0, 1)] for s in range(d)],
-        "Tder": [[unit.Tder[s][f] / h for f in (0, 1)] for s in range(d)],
+        "Tval": unit.Tval.copy(),
+        "Tder": unit.Tder / h,
         "P_loc": unit.P_loc.copy(),
+        "Acf_w": split(unit.Acf_w, pen_u),
+        "Acf_wp": h ** (d - 1) * unit.Acf_wp,
+        "D_int": split(unit.D_int, pen[0]),
+        "D_bnd": split(unit.D_bnd, pen[1]),
+        "Nb": split(unit.Nb, pen[2]),
+        "S": split(unit.S, sum(pen[0].reshape(-1, unit.nloc, unit.nloc))),
     }
-    Acf_w, Acf_wp, D_int, D_bnd, Nb = [], [], [], [], []
-    pen_S = np.zeros_like(unit.S)
-    for s in range(d):
-        rw, rwp, rdi, rdb, rnb = [], [], [], [], []
-        for f in (0, 1):
-            pen_u = -(unit.Tval[s][f].T @ unit.Mf)          # gamma coupling
-            rw.append(split(unit.Acf_w[s][f], pen_u))
-            rwp.append(h ** (d - 1) * unit.Acf_wp[s][f])
-            sig = -1.0 if f == 1 else 1.0
-            sv = 1.0 if f == 1 else -1.0
-            fn = 1 - f
-            svn = -sv
-            pen_di = sig * (pen_u @ (0.5 * sv * unit.Tval[s][f]))
-            pen_db = -1.0 * (pen_u @ unit.Tval[s][f])
-            pen_nb = sig * (pen_u @ (0.5 * svn * unit.Tval[s][fn]))
-            rdi.append(split(unit.D_int[s][f], pen_di))
-            rdb.append(split(unit.D_bnd[s][f], pen_db))
-            rnb.append(split(unit.Nb[s][f], pen_nb))
-            pen_S += pen_di
-        Acf_w.append(rw)
-        Acf_wp.append(rwp)
-        D_int.append(rdi)
-        D_bnd.append(rdb)
-        Nb.append(rnb)
-    out.update(Acf_w=Acf_w, Acf_wp=Acf_wp, D_int=D_int, D_bnd=D_bnd, Nb=Nb)
-    out["S"] = split(unit.S, pen_S)
-    return out
 
 
 def apply_flux(q_minus, q_plus, out=None):

@@ -13,7 +13,9 @@ projection traversal, then per cycle nu smoothing traversals, one
 residual traversal that also restricts, and one prolongation traversal
 that adds the correction and, when another cycle follows, re-projects the
 updated cells for its smoothing.  A run of n cycles touches the mesh
-n*(nu+2)+1 times.
+n*(nu+2)+1 times.  The vanilla and stages sweeps read no traces a
+traversal before them wrote, so they run neither the warm-up nor the
+re-projection.
 
 Stopping is either on the residual recorded in the restriction traversal
 (criterion "unprec", no extra work) or on the difference of consecutive
@@ -376,7 +378,7 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
         if trace.r0_l2 == 0.0:
             trace.converged = True
             return MgResult(state.u, trace, state.counters)
-        if not state.warm:
+        if state.sweep_reads_traces and not state.warm:
             state.warm_up()
             trace.traversals += 1
 
@@ -419,7 +421,12 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                 # the traces predate the correction; no cycle reads them
                 state.warm = False
                 break
-            # fused with the prolongation: the re-projection that the next
-            # cycle's smoothing consumes
-            exchange_interface(state.project(), state.partition)
+            if state.sweep_reads_traces:
+                # fused with the prolongation: the re-projection that the
+                # next cycle's smoothing consumes
+                exchange_interface(state.project(), state.partition)
+            else:
+                # stale traces no sweep reads: vanilla reads the cells,
+                # stages projects first
+                state.warm = False
         return MgResult(state.u, trace, state.counters)

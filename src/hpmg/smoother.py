@@ -48,12 +48,13 @@ product by the stacked trace matrix, straight into its contiguous block of
 the store.  The fluxes are the only gather: a block's cell-face fluxes are
 one take of the records across its faces (Mesh.opposite_records), averaged
 in place with the block's own contiguous records.  The trace signs and the
-residual signs of the face couplings are folded into the matrices (value
-traces -1 on the low face, couplings -1 on the high face); only the
-records of low faces on the domain boundary, where the cell is the minus
-side and n_F = -e_s, are negated after the projection, and their fluxes
-before the face-term product.  Negation is exact, so the iterates keep the
-bits of applying the signs to the data.
+residual signs of the face couplings are folded into the signed stacks
+LocalBlocks.traces and LocalBlocks.couplings, where localops keeps the
+whole sign convention; only the records of low faces on the domain
+boundary, where the cell is the minus side and n_F = -e_s, are negated
+after the projection, and their fluxes before the face-term product.
+Negation is exact, so the iterates keep the bits of applying the signs to
+the data.
 
 The update uses the interior-cell block inverse everywhere, also next to
 the boundary; the residual keeps the exact one-sided boundary fluxes, so
@@ -186,8 +187,6 @@ class SmootherState:
     warm: bool = False
     u_old: CellField = None
     _executor: object = None
-    _traces: np.ndarray = None  # (2*dim*2*nf, nloc) signed traces of all faces
-    _couplings: list = None     # [s][f] signed [Acf_w | Acf_wp]
     _low_bnd: np.ndarray = None  # c*dim + s of every low face on the boundary
     _next: FacetProjection = None  # the fused sweep's re-projection store
     _bufs: list = None  # per task: a block's (fluxes, residual, face term)
@@ -202,6 +201,12 @@ class SmootherState:
 
     def __exit__(self, *exc):
         self.close()
+
+    @property
+    def sweep_reads_traces(self):
+        """Whether a sweep consumes the traces the previous traversal
+        wrote (fused, tasked); vanilla reads cells, stages projects first."""
+        return self._next is not None
 
     def set_solution(self, data):
         self.u.data[:] = data
@@ -233,7 +238,7 @@ class SmootherState:
         the low-boundary records are negated afterwards."""
         mesh, nf = self.mesh, self.blocks.nf
         proj = self.proj[0] if store is None else store
-        _rows_mm(self.u.data[lo:hi], self._traces, lo, mesh.ncells,
+        _rows_mm(self.u.data[lo:hi], self.blocks.traces, lo, mesh.ncells,
                  out=proj.data[lo:hi].reshape(hi - lo, -1))
         i, j = np.searchsorted(self._low_bnd, (lo * mesh.dim, hi * mesh.dim))
         faces = proj.data.reshape(-1, 2, 2 * nf)    # (cell, axis) by face
@@ -310,20 +315,20 @@ class SmootherState:
     def _subtract_face_terms(self, R, fc, lo, term):
         """R -= each face's share of the residual of cells lo.., one face at
         a time in (axis, low/high) order: the face's rows of the cell-face
-        fluxes fc (as _face_fluxes lays them out) times the signed
-        [Acf_w | Acf_wp].  The rows of low faces on the boundary, where the
-        cell is the minus side, are negated in fc first."""
+        fluxes fc (as _face_fluxes lays them out) times its signed
+        [Acf_w | Acf_wp] in LocalBlocks.couplings.  The rows of low faces on
+        the boundary, where the cell is the minus side, are negated in fc
+        first."""
         mesh, bl = self.mesh, self.blocks
         hi = lo + len(R)
         i, j = np.searchsorted(self._low_bnd, (lo * mesh.dim, hi * mesh.dim))
         fc[2 * (self._low_bnd[i:j] - lo * mesh.dim)] *= -1
         faces = fc.reshape(len(R), mesh.dim, 2, 2 * bl.nf)
         term = term[:len(R)]
-        for s in range(mesh.dim):
-            for f in (0, 1):
-                _rows_mm(faces[:, s, f], self._couplings[s][f], lo,
-                         mesh.ncells, out=term)
-                R -= term
+        for s, f in np.ndindex(mesh.dim, 2):
+            _rows_mm(faces[:, s, f], bl.couplings[s, f], lo, mesh.ncells,
+                     out=term)
+            R -= term
 
     def _block_residual(self, lo, hi, R, fc, term):
         """R = b - A u on cells lo..hi, given their cell-face fluxes fc; R
@@ -355,9 +360,8 @@ class SmootherState:
         bl = self.blocks
         if self.inverse_mode == "precomputed":
             return bl.Sinv
-        S = bl.Acc + sum(bl.D_int[s][f]
-                         for s in range(bl.dim) for f in (0, 1))
-        return np.linalg.inv(S)
+        return np.linalg.inv(bl.Acc + sum(bl.D_int.reshape(-1, bl.nloc,
+                                                           bl.nloc)))
 
     def _update_range(self, R, lo=0):
         """u += omega S^-1 r on cells lo.., tile by tile; percell mode
@@ -415,14 +419,6 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
     st._bufs = [(np.empty((rows * 2 * mesh.dim, 2 * blocks.nf)),
                  np.empty((rows, blocks.nloc)), np.empty((rows, blocks.nloc)))
                 for _ in range(min(workers, len(st._blocks())))]
-    # value traces -1 on the low face, residual couplings -1 on the high
-    # face (the minus side of an interior facet)
-    st._traces = np.vstack([np.vstack([(2 * f - 1) * blocks.Tval[s][f],
-                                       blocks.Tder[s][f]])
-                            for s in range(mesh.dim) for f in (0, 1)])
-    st._couplings = [[(1 - 2 * f) * np.hstack([blocks.Acf_w[s][f],
-                                               blocks.Acf_wp[s][f]])
-                      for f in (0, 1)] for s in range(mesh.dim)]
     st._low_bnd = np.flatnonzero(mesh.cell_side[:, :, 0] == MINUS)
     return st
 
@@ -439,20 +435,16 @@ def sweep_vanilla(state):
     state._backup_old()
     U = state.u_old.data    # u itself is updated in place below
     R = state.b.data - _rows_mm(U, bl.Acc)
-    for s in range(mesh.dim):
-        for f in (0, 1):
-            F = mesh.cell_facets[:, s, f]
-            bnd = mesh.facet_boundary[F]
-            diag = _rows_mm(U, bl.D_int[s][f])
-            if bnd.any():
-                diag[bnd] = _rows_mm(U[bnd], bl.D_bnd[s][f])
-            R -= diag
+    for s, f in np.ndindex(mesh.dim, 2):
+        bnd = mesh.facet_boundary[mesh.cell_facets[:, s, f]]
+        diag = _rows_mm(U, bl.D_int[s, f])
+        if bnd.any():
+            diag[bnd] = _rows_mm(U[bnd], bl.D_bnd[s, f])
+        R -= diag
     Upad = np.vstack([U, np.zeros((1, bl.nloc))])
-    for s in range(mesh.dim):
-        for f in (0, 1):
-            nb = mesh.neighbors[:, s, f]
-            idx = np.where(nb < 0, mesh.ncells, nb)
-            R -= _rows_mm(Upad[idx], bl.Nb[s][f])
+    for s, f in np.ndindex(mesh.dim, 2):
+        nb = mesh.neighbors[:, s, f]
+        R -= _rows_mm(Upad[np.where(nb < 0, mesh.ncells, nb)], bl.Nb[s, f])
     state.counters.cell_reads += (2 + 2 * mesh.dim) * mesh.ncells * bl.nloc
     state._update_range(R)
     state._count(update=True)

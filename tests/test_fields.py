@@ -13,7 +13,7 @@ from hpmg import (
     make_state,
     norm,
 )
-from hpmg.fields import DER, MINUS, PLUS
+from hpmg.fields import MINUS, PLUS
 
 from conftest import blocks_for, mesh_at
 
@@ -37,7 +37,7 @@ def test_norm_examples():
         norm(np.ones(3), "l1")
 
 
-def test_cell_field_basics(tmp_path):
+def test_cell_field_basics():
     u = CellField.zeros(3, 4)
     assert u.data.shape == (3, 4)
     assert np.all(u.data == 0.0)
@@ -45,12 +45,6 @@ def test_cell_field_basics(tmp_path):
     v = u.copy()
     v.data[1, 2] = 7.0
     assert u.data[1, 2] == -0.5
-    path = tmp_path / "u.csv"
-    u.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "cell,node,value"
-    assert len(lines) == 1 + 12
-    assert lines[1 + 1 * 4 + 2] == "1,2,-0.5"
 
 
 def test_facet_containers_shapes():
@@ -62,17 +56,6 @@ def test_facet_containers_shapes():
     flux = FacetFlux.zeros(24, 2, 3)
     assert flux.data.shape == (24, 2, 2, 2, 3)
     assert flux.records().shape == (24 * 2 * 2, 2 * 3)
-
-
-def test_facet_projection_csv(tmp_path):
-    proj = FacetProjection.zeros(2, 2, 2)
-    proj.data[1, 1, 1, DER, 0] = 2.25   # cell 1, axis 1, high face
-    path = tmp_path / "proj.csv"
-    proj.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "cell,slot,value"
-    assert len(lines) == 1 + 2 * 16
-    assert "1,14,2.25" in lines
 
 
 def test_exchange_single_part_is_identity():

@@ -97,11 +97,12 @@ def test_corner_interpolation_partition_of_unity():
         assert blocks.P_loc.shape == (blocks.nloc, 4)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("h", [1.0 / 3.0, 1.0 / 9.0])
-def test_prediction_matches_direct_assembly(h):
+def test_prediction_matches_direct_assembly(h, dim):
     basis = make_basis("lobatto", 2)
-    unit = build_local_blocks(basis, 2, 1.0)
-    direct = build_local_blocks(basis, 2, h)
+    unit = build_local_blocks(basis, dim, 1.0)
+    direct = build_local_blocks(basis, dim, h)
     pred = predict_blocks(unit, h)
 
     def close(a, b):
@@ -113,7 +114,7 @@ def test_prediction_matches_direct_assembly(h):
     close(pred["Mf"], direct.Mf)
     close(pred["S"], direct.S)
     close(pred["P_loc"], direct.P_loc)
-    for s in range(2):
+    for s in range(dim):
         for f in (0, 1):
             close(pred["Tval"][s][f], direct.Tval[s][f])
             close(pred["Tder"][s][f], direct.Tder[s][f])
@@ -122,6 +123,23 @@ def test_prediction_matches_direct_assembly(h):
             close(pred["D_int"][s][f], direct.D_int[s][f])
             close(pred["D_bnd"][s][f], direct.D_bnd[s][f])
             close(pred["Nb"][s][f], direct.Nb[s][f])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_signed_stacks_hold_the_per_face_blocks(dim):
+    # traces: per face in (axis, low/high) order the value trace, -1 on the
+    # low face, then the derivative trace; couplings: [Acf_w | Acf_wp] of
+    # each face, -1 on the high face
+    blocks = build_local_blocks(make_basis("legendre", 2), dim, 1.0 / 3.0)
+    nf = blocks.nf
+    assert blocks.traces.shape == (2 * dim * 2 * nf, blocks.nloc)
+    for k, (s, f) in enumerate((s, f) for s in range(dim) for f in (0, 1)):
+        rows = blocks.traces[2 * nf * k:2 * nf * (k + 1)]
+        low_high = 1.0 if f == 1 else -1.0
+        assert np.array_equal(rows[:nf], low_high * blocks.Tval[s][f])
+        assert np.array_equal(rows[nf:], blocks.Tder[s][f])
+        coupling = np.hstack([blocks.Acf_w[s][f], blocks.Acf_wp[s][f]])
+        assert np.array_equal(blocks.couplings[s][f], -low_high * coupling)
 
 
 def test_prediction_requires_unit_blocks():

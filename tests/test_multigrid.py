@@ -306,6 +306,23 @@ def test_converged_solve_projects_once_per_cycle(monkeypatch):
     assert len(calls) == res.trace.cycles > 1
 
 
+@pytest.mark.parametrize("variant", ["vanilla", "stages"])
+def test_cell_reading_sweeps_run_no_unread_projection(variant, monkeypatch):
+    # no warm-up and no re-projection after a correction: vanilla reads the
+    # cells, so only the residual projects; stages also projects per sweep
+    mesh, basis, blocks = blocks_for("lobatto", 2, 2)
+    b = build_rhs(get_problem("two_peak"), mesh, basis)
+    calls = []
+    project = SmootherState.project
+    monkeypatch.setattr(SmootherState, "project",
+                        lambda st: calls.append(1) or project(st))
+    cfg = MgConfig(variant=variant, eps=1e-7)
+    res = solve(mesh, basis, blocks, b, cfg)
+    assert res.trace.converged and res.trace.cycles > 1
+    per_cycle = cfg.nu + 1 if variant == "stages" else 1
+    assert len(calls) == res.trace.cycles * per_cycle
+
+
 def test_zero_rhs_short_circuits():
     mesh, basis, blocks = blocks_for("lobatto", 2, 1)
     b = CellField.zeros(mesh.ncells, blocks.nloc)

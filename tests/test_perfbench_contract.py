@@ -1,39 +1,58 @@
-"""The benchmark's layer tracer must find every name it rebinds.
+"""The benchmark must find every name and setting it uses of hpmg.
 
 perfbench/tracing.py wraps module-level functions of hpmg.multigrid and
-hpmg.smoother by name; renaming or inlining one of them breaks the
-benchmark's per-layer metrics without failing any solver test.
+hpmg.smoother by name, and perfbench/workloads.py builds MgConfig objects
+by field name; renaming or inlining one of them breaks the benchmark
+without failing any solver test.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
+import pytest
+
 from hpmg import MgConfig, build_rhs, get_problem, make_partition, solve
+from hpmg.smoother import SWEEPS
 
 from conftest import blocks_for
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-def test_traced_solve_records_every_layer_and_restores_names():
-    tracing = _load_tracing()
+@pytest.mark.parametrize("variant", list(SWEEPS))
+def test_traced_solve_records_every_layer_and_restores_names(variant):
+    tracing = _load("tracing")
     mesh, basis, blocks = blocks_for("lobatto", 2, 1)
     b = build_rhs(get_problem("sin_product"), mesh, basis)
     part = make_partition(mesh, "balanced", 2)
     tracer = tracing.Tracer()
     tracer.new_request()
     with tracing.traced_layers(tracer):
-        res = solve(mesh, basis, blocks, b, MgConfig(eps=1e-7), partition=part)
+        res = solve(mesh, basis, blocks, b,
+                    MgConfig(eps=1e-7, variant=variant), partition=part)
     assert res.trace.converged
     names = {span[3] for span in tracer.spans}
     for name in ("smoother.sweep", "smoother.residual", "fields.exchange",
                  "localops.apply_flux"):
         assert name in names, name
     assert tracing.still_wrapped() == []
+
+
+def test_every_workload_config_validates():
+    workloads = _load("workloads").WORKLOADS
+    assert workloads
+    for name, w in workloads.items():
+        cfg = w.config()
+        cfg.validate()
+        assert cfg.variant in SWEEPS, name
