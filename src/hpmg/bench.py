@@ -4,8 +4,13 @@ Each driver reproduces one solver study end to end: discretisation-error
 convergence, two-grid cycle-count tables, residual histories, the
 error-versus-residual stopping study, cross-variant equivalence, and the
 closed-form access-count model.  Every driver writes CSV files plus a JSON
-manifest that echoes all knobs affecting the iterates, so a run can be
-reproduced bit for bit from its manifest.
+manifest, so a run can be reproduced bit for bit from its manifest.
+
+The solver drivers take one MgConfig and fix only the stopping settings
+their study defines; the manifest echoes every field of the config the
+solves used, plus the discretisation knobs.  Each `hpmg-bench` subcommand
+accepts exactly the flags its driver reads, and `solver_config` is the one
+map from flag names to MgConfig fields.
 
 The cycle tables carry a ref_cycles column with reference counts for the
 standard configurations of the same experiment design, for side-by-side
@@ -19,6 +24,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from .fields import CellField, fmt_float
 from .localops import build_local_blocks, memory_access_model
 from .mesh import build_hierarchy, make_partition
 from .multigrid import MgConfig, build_coarse_space, solve
-from .problems import (build_rhs, discretisation_error, fit_slope,
+from .problems import (PROBLEMS, build_rhs, discretisation_error, fit_slope,
                        get_problem, interpolate_exact)
 from .smoother import (INVERSE_MODES, SWEEPS, apply_operator,
                        compute_residual_only, make_state, sweep)
@@ -138,7 +144,7 @@ def write_csv(path, header, rows):
     return path
 
 
-def write_manifest(out, name, command, config, meshes, outputs, wall, seed=None):
+def write_manifest(out, name, command, config, meshes, outputs, wall):
     doc = {
         "command": command,
         "config": config,
@@ -148,8 +154,6 @@ def write_manifest(out, name, command, config, meshes, outputs, wall, seed=None)
         "environment": _environment(),
         "wall_time_s": round(wall, 3),
     }
-    if seed is not None:
-        doc["seed"] = seed
     path = os.path.join(out, name)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -197,38 +201,6 @@ def solver_config(args_like=None, **kw):
     return cfg
 
 
-def _knob_echo(cfg, basis, theta, penalty, partition="balanced", subdomains=1,
-               extra=None):
-    doc = {
-        "basis": basis,
-        "theta": theta,
-        "penalty_const": penalty,
-        "omega": cfg.omega,
-        "omega_smoother": OMEGA_SMOOTHER,
-        "nu": cfg.nu,
-        "nu_coarse": list(cfg.nu_coarse),
-        "omega_coarse": cfg.omega_coarse,
-        "coarse": cfg.coarse,
-        "criterion": cfg.criterion,
-        "eps": cfg.eps,
-        "max_cycles": cfg.max_cycles,
-        "variant": cfg.variant,
-        "inverse_mode": cfg.inverse_mode,
-        "partition": partition,
-        "subdomains": subdomains,
-        "workers": cfg.workers,
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _partition_for(mesh, mode, nparts):
-    if nparts <= 1:
-        return None
-    return make_partition(mesh, mode, nparts)
-
-
 def predicted_total_accesses(mesh, p, variant):
     """Entity-resolved access count for one sweep on a concrete mesh.
 
@@ -257,13 +229,14 @@ def access_model_echo(p_list, dim=2):
 
 def run_convergence_study(p_list, levels, problem="sin_product",
                           basis="lobatto", theta=-1.0, penalty=1.0,
-                          out=".", cli=None):
+                          out=".", cfg=None):
     """Discretisation error over (p, level) plus fitted slopes."""
     t0 = time.time()
     os.makedirs(out, exist_ok=True)
     setup = _Setup()
     prob = get_problem(problem)
-    cfg = solver_config(cli, criterion="prec", eps=1e-10, max_cycles=300)
+    cfg = replace(cfg or MgConfig(), criterion="prec", eps=1e-10,
+                  max_cycles=300)
     rows, slope_rows = [], []
     for p in p_list:
         errs2, errsi, hs = [], [], []
@@ -287,10 +260,9 @@ def run_convergence_study(p_list, levels, problem="sin_product",
                   slope_rows),
     ]
     write_manifest(out, "convergence.json", "convergence",
-                   _knob_echo(cfg, basis, theta, penalty,
-                              extra={"p": list(p_list),
-                                     "levels": list(levels),
-                                     "problem": problem}),
+                   dict(asdict(cfg), basis=basis, theta=theta,
+                        penalty_const=penalty, p=list(p_list),
+                        levels=list(levels), problem=problem),
                    [setup.mesh(lv).summary() for lv in levels],
                    paths, time.time() - t0)
     return rows, slope_rows
@@ -299,13 +271,14 @@ def run_convergence_study(p_list, levels, problem="sin_product",
 def run_cycle_count_table(p_list=(2, 3, 4, 5, 6), levels=(2, 3, 4, 5),
                           problem="two_peak", criterion="prec",
                           basis="lobatto", theta=-1.0, penalty=1.0,
-                          out=".", cli=None):
+                          out=".", cfg=None):
     """Cycles to reduce the chosen residual flavor by 1e-7."""
     t0 = time.time()
     os.makedirs(out, exist_ok=True)
     setup = _Setup()
     prob = get_problem(problem)
-    cfg = solver_config(cli, criterion=criterion, eps=1e-7, max_cycles=500)
+    cfg = replace(cfg or MgConfig(), criterion=criterion, eps=1e-7,
+                  max_cycles=500)
     rows = []
     for level in levels:
         for p in p_list:
@@ -320,11 +293,10 @@ def run_cycle_count_table(p_list=(2, 3, 4, 5, 6), levels=(2, 3, 4, 5),
                       "cells_per_axis", "p", "cycles", "converged",
                       "ref_cycles"], rows)
     write_manifest(out, "cycles.json", "cycles",
-                   _knob_echo(cfg, basis, theta, penalty,
-                              extra={"p": list(p_list), "levels": list(levels),
-                                     "problem": problem,
-                                     "access_model_per_cell":
-                                         access_model_echo(p_list)}),
+                   dict(asdict(cfg), basis=basis, theta=theta,
+                        penalty_const=penalty, p=list(p_list),
+                        levels=list(levels), problem=problem,
+                        access_model_per_cell=access_model_echo(p_list)),
                    [setup.mesh(lv).summary() for lv in levels],
                    [path], time.time() - t0)
     return rows
@@ -332,7 +304,7 @@ def run_cycle_count_table(p_list=(2, 3, 4, 5, 6), levels=(2, 3, 4, 5),
 
 def run_residual_history(problem="two_peak", p=2, level=3, basis="lobatto",
                          theta=-1.0, penalty=1.0, max_sweeps=1000,
-                         out=".", cli=None):
+                         omega_smoother=OMEGA_SMOOTHER, out=".", cfg=None):
     """Residual evolution for the standalone smoother and for the two-grid
     solver with the exact and the V-cycle coarse solve."""
     t0 = time.time()
@@ -341,16 +313,13 @@ def run_residual_history(problem="two_peak", p=2, level=3, basis="lobatto",
     prob = get_problem(problem)
     mesh, bas, blocks = setup.assemble(level, p, basis, theta, penalty)
     b = build_rhs(prob, mesh, bas)
-    omega_sm = OMEGA_SMOOTHER
-    if cli is not None and getattr(cli, "omega", None) is not None:
-        omega_sm = cli.omega
-    variant = "fused"
-    if cli is not None and getattr(cli, "variant", None) is not None:
-        variant = cli.variant
+    cfg = replace(cfg or MgConfig(), criterion="unprec", eps=1e-7,
+                  max_cycles=500)
 
     sm_rows = []
-    with make_state(mesh, bas, blocks, b.copy(), omega=omega_sm,
-                    variant=variant) as st:
+    with make_state(mesh, bas, blocks, b.copy(), omega=omega_smoother,
+                    variant=cfg.variant, inverse_mode=cfg.inverse_mode,
+                    workers=cfg.workers) as st:
         st.warm_up()
         r0 = compute_residual_only(st)
         n0_2 = float(np.linalg.norm(r0.data))
@@ -373,43 +342,41 @@ def run_residual_history(problem="two_peak", p=2, level=3, basis="lobatto",
                        ["sweep", "res_l2", "res_linf", "rel_res_l2",
                         "rel_res_linf", "prec_l2", "rel_prec_l2"], sm_rows)]
 
-    for mode in ("exact", "vcycle"):
-        cfg = solver_config(cli, criterion="unprec", eps=1e-7,
-                            max_cycles=500, coarse=mode)
-        res = solve(mesh, bas, blocks, b.copy(), cfg,
+    modes = ("exact", "vcycle")
+    for mode in modes:
+        res = solve(mesh, bas, blocks, b.copy(), replace(cfg, coarse=mode),
                     cspace=setup.cspace(level))
         tr_path = os.path.join(out, f"history_{mode}.csv")
         res.trace.to_csv(tr_path)
         paths.append(tr_path)
 
-    cfg = solver_config(cli, criterion="unprec", eps=1e-7, max_cycles=500)
+    knobs = asdict(cfg)
+    del knobs["coarse"]
     write_manifest(out, "history.json", "history",
-                   _knob_echo(cfg, basis, theta, penalty,
-                              extra={"p": p, "levels": [level],
-                                     "problem": problem,
-                                     "omega_smoother": omega_sm,
-                                     "max_sweeps": max_sweeps,
-                                     "access_model_per_cell":
-                                         access_model_echo([p])}),
+                   dict(knobs, coarse_modes=list(modes), basis=basis,
+                        theta=theta, penalty_const=penalty, p=p,
+                        levels=[level], problem=problem,
+                        omega_smoother=omega_smoother, max_sweeps=max_sweeps,
+                        access_model_per_cell=access_model_echo([p])),
                    [mesh.summary()], paths, time.time() - t0)
     return sm_rows, paths
 
 
 def run_residual_vs_error(p_list=(2, 3), levels=(2, 3, 4), basis="lobatto",
-                          theta=-1.0, penalty=1.0, out=".", cli=None):
+                          theta=-1.0, penalty=1.0, out=".", cfg=None):
     """Solve A u = 0 from the two-peak interpolant until the solution error
     drops below 5e-9, then report both residual flavors."""
     t0 = time.time()
     os.makedirs(out, exist_ok=True)
     setup = _Setup()
     prob = get_problem("two_peak")
+    cfg = replace(cfg or MgConfig(), criterion="error", eps=5e-9,
+                  max_cycles=500)
     rows = []
     for p in p_list:
         for level in levels:
             mesh, bas, blocks = setup.assemble(level, p, basis, theta, penalty)
             u0 = interpolate_exact(prob, mesh, bas)
-            cfg = solver_config(cli, criterion="error", eps=5e-9,
-                                max_cycles=500)
             res = solve(mesh, bas, blocks,
                         CellField(np.zeros_like(u0.data)), cfg,
                         u0=u0.data.copy(), cspace=setup.cspace(level))
@@ -421,14 +388,11 @@ def run_residual_vs_error(p_list=(2, 3), levels=(2, 3, 4), basis="lobatto",
     path = write_csv(os.path.join(out, "residual_vs_error.csv"),
                      ["p", "level", "h", "cycles", "converged", "rel_err_l2",
                       "rel_prec_l2", "rel_unprec_l2"], rows)
-    cfg = solver_config(cli, criterion="error", eps=5e-9, max_cycles=500)
     write_manifest(out, "residual_vs_error.json", "residual-vs-error",
-                   _knob_echo(cfg, basis, theta, penalty,
-                              extra={"p": list(p_list),
-                                     "levels": list(levels),
-                                     "problem": "two_peak",
-                                     "access_model_per_cell":
-                                         access_model_echo(p_list)}),
+                   dict(asdict(cfg), basis=basis, theta=theta,
+                        penalty_const=penalty, p=list(p_list),
+                        levels=list(levels), problem="two_peak",
+                        access_model_per_cell=access_model_echo(p_list)),
                    [setup.mesh(lv).summary() for lv in levels],
                    [path], time.time() - t0)
     return rows
@@ -440,7 +404,7 @@ def run_equivalence_suite(p=3, level=3, problem="two_peak", basis="lobatto",
                           partitions=("balanced", "geometric"),
                           variants=tuple(SWEEPS),
                           inverse_modes=INVERSE_MODES,
-                          workers=(1, 4), seed=0, out=".", cli=None):
+                          workers=(1, 4), omega=OMEGA_SMOOTHER, out="."):
     """Iterate-invariance across variants, partitions, and worker counts,
     plus instrumented-counter agreement with the access model."""
     t0 = time.time()
@@ -448,13 +412,10 @@ def run_equivalence_suite(p=3, level=3, problem="two_peak", basis="lobatto",
     setup = _Setup()
     mesh, bas, blocks = setup.assemble(level, p, basis, theta, penalty)
     b = build_rhs(get_problem(problem), mesh, bas)
-    omega = OMEGA_SMOOTHER
-    if cli is not None and getattr(cli, "omega", None) is not None:
-        omega = cli.omega
 
     def iterate(variant, inverse, pmode, nparts, nworkers):
-        part = _partition_for(mesh, pmode, nparts)
-        with make_state(mesh, bas, blocks, b.copy(), partition=part,
+        with make_state(mesh, bas, blocks, b.copy(),
+                        partition=make_partition(mesh, pmode, nparts),
                         omega=omega, variant=variant, inverse_mode=inverse,
                         workers=nworkers) as st:
             st.warm_up()
@@ -509,20 +470,16 @@ def run_equivalence_suite(p=3, level=3, problem="two_peak", basis="lobatto",
                    "total", "predicted_total", "total_per_cell",
                    "model_bulk_per_cell", "passed"], counter_rows),
     ]
-    cfg = solver_config(cli)
     write_manifest(out, "equivalence.json", "equivalence",
-                   _knob_echo(cfg, basis, theta, penalty,
-                              extra={"p": p, "levels": [level],
-                                     "problem": problem, "n_iter": n_iter,
-                                     "subdomains": list(subdomains),
-                                     "partitions": list(partitions),
-                                     "variants": list(variants),
-                                     "inverse_modes": list(inverse_modes),
-                                     "worker_counts": list(workers),
-                                     "omega_smoother": omega,
-                                     "access_model_per_cell":
-                                         access_model_echo(range(1, 7))}),
-                   [mesh.summary()], paths, time.time() - t0, seed=seed)
+                   {"p": p, "levels": [level], "problem": problem,
+                    "basis": basis, "theta": theta, "penalty_const": penalty,
+                    "n_iter": n_iter, "subdomains": list(subdomains),
+                    "partitions": list(partitions),
+                    "variants": list(variants),
+                    "inverse_modes": list(inverse_modes),
+                    "worker_counts": list(workers), "omega_smoother": omega,
+                    "access_model_per_cell": access_model_echo(range(1, 7))},
+                   [mesh.summary()], paths, time.time() - t0)
     return rows, counter_rows, all_ok
 
 
@@ -547,30 +504,35 @@ def run_model_table(dims=(2, 3), p_max=10, out="."):
 
 
 # -- CLI -------------------------------------------------------------------------
+# Each subcommand takes exactly the flags its driver reads.
 
-def _add_common(sp):
-    sp.add_argument("--p", type=int, nargs="+", default=None)
-    sp.add_argument("--levels", type=int, nargs="+", default=None)
-    sp.add_argument("--problem", default=None,
-                    choices=["sin_product", "two_peak", "zero"])
+def _add_grid(sp, p, levels):
+    """--p and --levels: lists when the defaults are lists, else one value."""
+    for flag, default in (("--p", p), ("--levels", levels)):
+        sp.add_argument(flag, type=int, default=default,
+                        nargs="+" if isinstance(default, list) else None)
+
+
+def _add_discretisation(sp, problem):
+    if problem is not None:
+        sp.add_argument("--problem", default=problem, choices=list(PROBLEMS))
     sp.add_argument("--basis", default="lobatto",
                     choices=["lobatto", "legendre"])
     sp.add_argument("--theta", type=float, default=-1.0)
     sp.add_argument("--penalty", type=float, default=1.0)
-    sp.add_argument("--omega", type=float, default=None)
-    sp.add_argument("--nu", type=int, default=None)
-    sp.add_argument("--coarse", default=None, choices=["exact", "vcycle"])
-    sp.add_argument("--criterion", default=None, choices=["prec", "unprec"])
-    sp.add_argument("--variant", default=None,
+
+
+def _add_solver(sp, coarse=True, omega=MgConfig.omega, omega_help=None):
+    sp.add_argument("--omega", type=float, default=omega, help=omega_help)
+    sp.add_argument("--nu", type=int, default=MgConfig.nu)
+    if coarse:
+        sp.add_argument("--coarse", default=MgConfig.coarse,
+                        choices=["exact", "vcycle"])
+    sp.add_argument("--variant", default=MgConfig.variant,
                     choices=list(SWEEPS))
-    sp.add_argument("--inverse", default=None,
+    sp.add_argument("--inverse", default=MgConfig.inverse_mode,
                     choices=list(INVERSE_MODES))
-    sp.add_argument("--subdomains", type=int, nargs="+", default=[1])
-    sp.add_argument("--partition", default=None,
-                    choices=["balanced", "geometric"])
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--out", default=".")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--workers", type=int, default=MgConfig.workers)
 
 
 def make_parser():
@@ -578,59 +540,89 @@ def make_parser():
         prog="hpmg-bench",
         description="Benchmark harness for the matrix-free two-grid solver.")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    for name in ("convergence", "cycles", "history", "residual-vs-error",
-                 "equivalence", "model"):
-        _add_common(sub.add_parser(name))
+
+    sp = sub.add_parser("convergence",
+                        help="discretisation error and its slopes in h")
+    _add_grid(sp, [1, 2, 3], [2, 3, 4])
+    _add_discretisation(sp, "sin_product")
+    _add_solver(sp)
+
+    sp = sub.add_parser("cycles",
+                        help="two-grid cycles to a 1e-7 residual reduction")
+    _add_grid(sp, [2, 3, 4, 5, 6], [2, 3, 4, 5])
+    _add_discretisation(sp, "two_peak")
+    _add_solver(sp)
+    sp.add_argument("--criterion", default="prec", choices=["prec", "unprec"])
+
+    sp = sub.add_parser("history", help="residual per smoother sweep and per "
+                        "two-grid cycle, with both coarse solves")
+    _add_grid(sp, 2, 3)
+    _add_discretisation(sp, "two_peak")
+    _add_solver(sp, coarse=False, omega=None, omega_help=(
+        "relaxation weight of the standalone smoother and the two-grid "
+        f"solves (default: {OMEGA_SMOOTHER} and {MgConfig.omega})"))
+
+    sp = sub.add_parser("residual-vs-error",
+                        help="both residual flavors at a fixed error on two_peak")
+    _add_grid(sp, [2, 3], [2, 3, 4])
+    _add_discretisation(sp, None)
+    _add_solver(sp)
+
+    sp = sub.add_parser("equivalence", help="iterates agree across variants, "
+                        "inverse modes, partitions and workers")
+    _add_grid(sp, 3, 3)
+    _add_discretisation(sp, "two_peak")
+    sp.add_argument("--omega", type=float, default=OMEGA_SMOOTHER)
+    sp.add_argument("--subdomains", type=int, nargs="+", default=[1])
+    sp.add_argument("--partition", nargs="+", choices=["balanced", "geometric"],
+                    default=["balanced", "geometric"])
+    sp.add_argument("--workers", type=int, default=1,
+                    help="the tasked variant runs with 1 and this many workers")
+
+    sub.add_parser("model", help="closed-form access counts per cell")
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=".", help="output directory")
     return ap
 
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    out = args.out
     if args.cmd == "convergence":
-        p_list = args.p or [1, 2, 3]
-        levels = args.levels or [2, 3, 4]
-        problem = args.problem or "sin_product"
         rows, slopes = run_convergence_study(
-            p_list, levels, problem, args.basis, args.theta, args.penalty,
-            out=out, cli=args)
+            args.p, args.levels, args.problem, args.basis, args.theta,
+            args.penalty, out=args.out, cfg=solver_config(args))
         for r in slopes:
             print(f"p={r[2]}: slope_l2={r[3]:.3f} slope_linf={r[4]:.3f}")
     elif args.cmd == "cycles":
         rows = run_cycle_count_table(
-            args.p or (2, 3, 4, 5, 6), args.levels or (2, 3, 4, 5),
-            args.problem or "two_peak", args.criterion or "prec",
-            args.basis, args.theta, args.penalty, out=out, cli=args)
+            args.p, args.levels, args.problem, args.criterion, args.basis,
+            args.theta, args.penalty, out=args.out, cfg=solver_config(args))
         for r in rows:
             ref = f" ref={r[8]}" if r[8] != "" else ""
             print(f"L{r[3]} ({r[4]}x{r[4]}) p={r[5]}: {r[6]} cycles{ref}")
     elif args.cmd == "history":
-        p = (args.p or [2])[0]
-        level = (args.levels or [3])[0]
+        omega_sm = OMEGA_SMOOTHER if args.omega is None else args.omega
         sm_rows, paths = run_residual_history(
-            args.problem or "two_peak", p, level, args.basis, args.theta,
-            args.penalty, out=out, cli=args)
+            args.problem, args.p, args.levels, args.basis, args.theta,
+            args.penalty, omega_smoother=omega_sm, out=args.out,
+            cfg=solver_config(args))
         print(f"smoother sweeps recorded: {len(sm_rows)} "
               f"(final rel_res={sm_rows[-1][3]:.3e}); outputs: "
               + ", ".join(os.path.basename(q) for q in paths))
     elif args.cmd == "residual-vs-error":
         rows = run_residual_vs_error(
-            args.p or (2, 3), args.levels or (2, 3, 4), args.basis,
-            args.theta, args.penalty, out=out, cli=args)
+            args.p, args.levels, args.basis, args.theta, args.penalty,
+            out=args.out, cfg=solver_config(args))
         for r in rows:
             print(f"p={r[0]} L{r[1]}: cycles={r[3]} rel_err={r[5]:.2e} "
                   f"rel_prec={r[6]:.2e} rel_unprec={r[7]:.2e}")
     elif args.cmd == "equivalence":
-        p = (args.p or [3])[0]
-        level = (args.levels or [3])[0]
-        partitions = ([args.partition] if args.partition
-                      else ["balanced", "geometric"])
-        workers = sorted({1, args.workers})
         rows, counter_rows, all_ok = run_equivalence_suite(
-            p, level, args.problem or "two_peak", args.basis, args.theta,
-            args.penalty, subdomains=tuple(args.subdomains or (1, 2, 4, 8)),
-            partitions=tuple(partitions), workers=tuple(workers),
-            seed=args.seed, out=out, cli=args)
+            args.p, args.levels, args.problem, args.basis, args.theta,
+            args.penalty, subdomains=tuple(args.subdomains),
+            partitions=tuple(args.partition),
+            workers=tuple(sorted({1, args.workers})), omega=args.omega,
+            out=args.out)
         nbit = sum(1 for r in rows if r[7])
         print(f"iterate checks: {len(rows)} ({nbit} bitwise), "
               f"counter checks: {len(counter_rows)}, "
@@ -638,7 +630,7 @@ def main(argv=None):
         if not all_ok:
             return 1
     elif args.cmd == "model":
-        rows = run_model_table(out=out)
+        rows = run_model_table(out=args.out)
         print(f"wrote {len(rows)} model rows")
     return 0
 

@@ -64,7 +64,7 @@ class MgConfig:
     eps: float = 1e-7
     max_cycles: int = 200
     criterion: str = "prec"        # prec | unprec | error
-    coarse: str = "vcycle"         # vcycle | exact
+    coarse: str = "exact"          # exact | vcycle
     nu_coarse: tuple = (3, 3)
     omega_coarse: float = 0.6
     coarse_tol: float = 1e-14

@@ -1,14 +1,19 @@
 import csv
+import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hpmg import memory_access_model
+import hpmg.bench as bench
+from hpmg import MgConfig, memory_access_model
 from hpmg.bench import (
     OMEGA_SMOOTHER,
     REF_CYCLES,
     main,
+    make_parser,
     predicted_total_accesses,
     run_convergence_study,
     run_cycle_count_table,
@@ -180,7 +185,6 @@ def test_equivalence_suite(tmp_path):
         assert c[3] == c[4]          # volumetric per cell == model
         assert c[5] == c[6]          # total == entity-resolved prediction
     doc = _read_manifest(tmp_path / "equivalence.json")
-    assert doc["seed"] == 0
     assert doc["config"]["n_iter"] == 4
 
 
@@ -201,7 +205,7 @@ def test_predicted_accesses_consistent_with_bulk_model():
 def test_solver_config_overrides():
     cfg = solver_config(None)
     assert (cfg.omega, cfg.nu, cfg.criterion, cfg.coarse) == (0.9, 2, "prec",
-                                                              "vcycle")
+                                                              "exact")
     cfg = solver_config(None, omega=0.5, inverse="percell", eps=1e-9)
     assert cfg.omega == 0.5
     assert cfg.inverse_mode == "percell"
@@ -250,9 +254,103 @@ def test_cli_subcommands(tmp_path, capsys):
                  "--subdomains", "1", "2", "--out", str(d)]) == 0
     assert "all passed" in capsys.readouterr().out
 
+    d = tmp_path / "history"
+    assert main(["history", "--p", "1", "--levels", "1", "--out", str(d)]) == 0
+    assert "history_vcycle.csv" in capsys.readouterr().out
+    assert (d / "history.json").exists()
+
 
 def test_cli_rejects_unknown_choices():
     with pytest.raises(SystemExit):
         main(["cycles", "--criterion", "energy"])
     with pytest.raises(SystemExit):
         main(["unknown-command"])
+
+
+DRIVERS = ("run_convergence_study", "run_cycle_count_table",
+           "run_residual_history", "run_residual_vs_error",
+           "run_equivalence_suite", "run_model_table")
+
+
+def _subcommands():
+    sub = next(a for a in make_parser()._actions if a.choices)
+    return sub.choices
+
+
+def _other_value(action):
+    """Command-line tokens for a value that differs from the flag's default."""
+    default = action.default
+    if action.choices:
+        many = isinstance(default, list)
+        return next([c] for c in action.choices
+                    if ([c] if many else c) != default)
+    if isinstance(default, list):
+        return [str(max(default) + 1)]
+    if action.type is float:
+        return ["0.5" if default != 0.5 else "0.25"]
+    return [str(default + 1)]
+
+
+class _Recorded(Exception):
+    pass
+
+
+def test_every_accepted_flag_reaches_its_driver(monkeypatch):
+    calls = []
+
+    def recorder(name):
+        def record(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            raise _Recorded
+        return record
+
+    for name in DRIVERS:
+        monkeypatch.setattr(bench, name, recorder(name))
+
+    def call(argv):
+        with pytest.raises(_Recorded):
+            main(argv)
+        return calls.pop()
+
+    for cmd, sp in _subcommands().items():
+        flags = [a for a in sp._actions
+                 if a.option_strings and a.dest not in ("help", "out")]
+        assert (cmd == "model") == (flags == [])
+        base = call([cmd])
+        for action in flags:
+            flag = action.option_strings[0]
+            changed = call([cmd, flag] + _other_value(action))
+            assert changed != base, f"{cmd} {flag} does not reach the driver"
+
+
+@pytest.mark.parametrize("argv", [
+    ["history", "--p", "2", "3"],
+    ["residual-vs-error", "--problem", "sin_product"],
+    ["equivalence", "--variant", "vanilla"],
+    ["model", "--p", "3"],
+    ["convergence", "--criterion", "unprec"],
+    ["cycles", "--seed", "5"],
+])
+def test_cli_rejects_flags_the_driver_would_ignore(argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+
+
+def test_cycles_manifest_echoes_every_config_field(tmp_path):
+    assert main(["cycles", "--p", "2", "--levels", "1", "--coarse", "vcycle",
+                 "--out", str(tmp_path)]) == 0
+    config = _read_manifest(tmp_path / "cycles.json")["config"]
+    for f in dataclasses.fields(MgConfig):
+        assert f.name in config, f.name
+    assert config["coarse"] == "vcycle"
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [ln.split("#", 1)[0] for ln in block.split("```", 1)[0].splitlines()]
+    commands = [shlex.split(ln) for ln in lines if ln.startswith("hpmg-bench")]
+    assert len(commands) >= 6
+    parser = make_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

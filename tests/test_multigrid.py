@@ -544,13 +544,16 @@ def test_failed_tasked_solve_shuts_its_thread_pool_down(recording_pool):
     assert leaked == []
 
 
-def test_diverging_solve_raises_non_finite_error():
+@pytest.mark.parametrize("coarse, cycle", [("vcycle", 50), ("exact", 52)],
+                         ids=["vcycle", "exact"])
+def test_diverging_solve_raises_non_finite_error(coarse, cycle):
     # a penalty below the coercivity bound assembles fine, but the
     # iteration blows up; the solve names the cycle instead of running on
     mesh, basis, blocks = blocks_for("lobatto", 3, 2, penalty_const=0.2)
     b = build_rhs(get_problem("sin_product"), mesh, basis)
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="cycle 50 "):
-        solve(mesh, basis, blocks, b, MgConfig())
+    with np.errstate(all="ignore"), \
+            pytest.raises(NonFiniteError, match=f"cycle {cycle} "):
+        solve(mesh, basis, blocks, b, MgConfig(coarse=coarse))
 
 
 def test_nan_right_hand_side_raises_non_finite_error():

@@ -1,11 +1,14 @@
 """The benchmark must find every name and setting it uses of hpmg.
 
-perfbench/tracing.py wraps module-level functions of hpmg.multigrid and
-hpmg.smoother by name, and perfbench/workloads.py builds MgConfig objects
-by field name; renaming or inlining one of them breaks the benchmark
-without failing any solver test.
+perfbench/*.py import names from hpmg and its modules, perfbench/tracing.py
+wraps module-level functions of hpmg.multigrid and hpmg.smoother by name,
+and perfbench/workloads.py builds MgConfig objects by field name; renaming,
+moving or inlining one of them breaks the benchmark without failing any
+solver test.
 """
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -56,3 +59,28 @@ def test_every_workload_config_validates():
         cfg = w.config()
         cfg.validate()
         assert cfg.variant in SWEEPS, name
+
+
+def _hpmg_imports():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                    node.module.split(".")[0] == "hpmg":
+                yield path.name, node.module, [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "hpmg":
+                        yield path.name, a.name, []
+
+
+def test_every_hpmg_name_perfbench_imports_resolves():
+    found = list(_hpmg_imports())
+    assert any(names for _, _, names in found)
+    for source, module, names in found:
+        mod = importlib.import_module(module)
+        for name in names:
+            # a name is an attribute, or a submodule of a package
+            assert hasattr(mod, name) or (
+                hasattr(mod, "__path__")
+                and importlib.util.find_spec(f"{module}.{name}")), \
+                f"{source} imports {name} from {module}, which lacks it"
