@@ -298,7 +298,6 @@ class CoarseOps:
 
     dim: int
     stencil: np.ndarray   # assembled 9-point stencil at an interior vertex
-    diag: float
 
 
 def build_coarse_ops(dim):
@@ -307,4 +306,4 @@ def build_coarse_ops(dim):
     # the bilinear stiffness on squares is independent of h in 2D
     stencil = np.full((3, 3), -1.0 / 3.0)
     stencil[1, 1] = 8.0 / 3.0
-    return CoarseOps(dim=dim, stencil=stencil, diag=8.0 / 3.0)
+    return CoarseOps(dim=dim, stencil=stencil)

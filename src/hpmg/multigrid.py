@@ -4,9 +4,10 @@ One p-coarsening step maps the element polynomial space onto continuous
 bilinears on the same mesh: the vertex hat functions are a subspace of
 every p >= 1 space, their inter-element jumps vanish, so the Galerkin
 coarse operator is the plain bilinear finite-element stiffness, applied
-as an assembled 9-point vertex stencil.  The h-hierarchy then coarsens
-the vertex grids by threes down to the 3x3-cell base mesh with nested
-bilinear transfers.
+as an assembled 9-point vertex stencil a I + b box3x3.  The h-hierarchy
+then coarsens the vertex grids by threes down to the 3x3-cell base mesh
+with nested bilinear transfers.  Vertex arrays carry a zero Dirichlet
+ring that the kernels read but never write: no masks, no padding.
 
 Traversal accounting with the one-traversal smoother: one warm-up
 projection traversal, then per cycle nu smoothing traversals, one
@@ -109,89 +110,97 @@ class MgConfig:
 @dataclass
 class CoarseLevel:
     n: int                  # cells per direction
-    stencil: np.ndarray
-    diag: float
-    interior: np.ndarray    # (n+1, n+1) bool
+    stencil: np.ndarray     # a I + b box3x3, b the off-centre weight
     W: np.ndarray           # 1d interpolation from the next coarser level
+    sine: tuple = None      # (S, mu) of direct_solve, built on first use
 
 
 @dataclass
 class CoarseSpace:
+    """The vertex grids and their kernels: jacobi updates U's interior in
+    place, the other kernels return arrays whose ring is zero."""
+
     dim: int
     levels: list            # finest first, down to the 3x3-cell base
 
     # -- vertex-grid kernels ------------------------------------------------
 
+    @staticmethod
+    def _box(U):
+        """Box sums at the interior vertices: two 3-point slice passes."""
+        T = U[:-2] + U[1:-1]
+        T += U[2:]
+        box = T[:, :-2] + T[:, 1:-1]
+        box += T[:, 2:]
+        return box
+
     def apply_stiffness(self, li, U):
-        """9-point stencil with eliminated Dirichlet rows."""
+        """9-point stencil a U + b box(U) with eliminated Dirichlet rows."""
         st = self.levels[li].stencil
-        P = np.pad(U, 1)
-        R = np.zeros_like(U)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                w = st[di + 1, dj + 1]
-                R += w * P[1 + di:P.shape[0] - 1 + di, 1 + dj:P.shape[1] - 1 + dj]
-        R[~self.levels[li].interior] = 0.0
+        R = np.zeros(U.shape)
+        np.multiply(self._box(U), st[0, 0], out=R[1:-1, 1:-1])
+        R[1:-1, 1:-1] += (st[1, 1] - st[0, 0]) * U[1:-1, 1:-1]
         return R
 
     def jacobi(self, li, U, B, omega, nsweeps):
-        lev = self.levels[li]
+        """nsweeps damped Jacobi sweeps on U's interior in place, each
+        U = (1 - w a) U + w B - w b box(U), w = omega / (a + b)."""
+        st = self.levels[li].stencil
+        w = omega / st[1, 1]
+        wB, I = w * B[1:-1, 1:-1], U[1:-1, 1:-1]
         for _ in range(nsweeps):
-            R = B - self.apply_stiffness(li, U)
-            U = U + (omega / lev.diag) * np.where(lev.interior, R, 0.0)
+            R = self._box(U)
+            R *= -w * st[0, 0]
+            R += wB
+            I *= 1.0 - w * (st[1, 1] - st[0, 0])
+            I += R
         return U
 
     def direct_solve(self, li, B):
         """Exact solve on level li: the orthonormal sine basis S
         diagonalises the Kronecker-sum stencil, with eigenvalue
         C_k . stencil . C_m on mode (k, m), C_k = (cos t_k, 1, cos t_k),
-        t_k = pi k / n (Lynch, Rice & Thomas, Numer. Math. 6, 1964)."""
-        n = self.levels[li].n
-        k = np.arange(1, n)
-        kl = np.outer(k, k) % (2 * n)   # small phases keep S orthogonal
-        S = np.sqrt(2.0 / n) * np.sin(np.pi * kl / n)
-        c = np.cos(np.pi * k / n)
-        C = np.stack([c, np.ones_like(c), c], axis=1)
-        mu = C @ self.levels[li].stencil @ C.T
+        t_k = pi k / n (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+        S and mu are built on the level's first solve and reused."""
+        lev = self.levels[li]
+        if lev.sine is None:
+            k = np.arange(1, lev.n)
+            kl = np.outer(k, k) % (2 * lev.n)   # small phases keep S orthogonal
+            c = np.cos(np.pi * k / lev.n)
+            C = np.stack([c, np.ones_like(c), c], axis=1)
+            lev.sine = (np.sqrt(2.0 / lev.n) * np.sin(np.pi * kl / lev.n),
+                        C @ lev.stencil @ C.T)
+        S, mu = lev.sine
         U = np.zeros_like(B)
         U[1:-1, 1:-1] = S @ ((S @ B[1:-1, 1:-1] @ S) / mu) @ S
         return U
 
     def restrict(self, li, R):
         """Full weighting (transpose of bilinear interpolation) to li+1."""
-        W = self.levels[li].W
-        C = W.T @ R @ W
-        C[~self.levels[li + 1].interior] = 0.0
+        W = self.levels[li].W[1:-1, 1:-1]
+        C = np.zeros((self.levels[li + 1].n + 1,) * 2)
+        C[1:-1, 1:-1] = W.T @ R[1:-1, 1:-1] @ W
         return C
-
-    def prolong(self, li, C):
-        W = self.levels[li].W
-        return W @ C @ W.T
 
 
 def build_coarse_space(dim, level):
     if dim != 2:
         raise MgError("vertex-grid hierarchy is implemented for dim == 2")
-    ops = build_coarse_ops(dim)
+    stencil = build_coarse_ops(dim).stencil
+    if stencil.shape != (3, 3) or np.any(np.delete(stencil, 4) != stencil[0, 0]):
+        raise MgError(f"vertex kernels need a stencil a I + b box3x3, "
+                      f"got {stencil.tolist()}")
     levels = []
     for l in range(level, 0, -1):
         n = 3 ** l
-        vb = np.zeros((n + 1, n + 1), dtype=bool)
-        vb[0, :] = vb[-1, :] = vb[:, 0] = vb[:, -1] = True
+        W = None
         if l > 1:
-            nc = 3 ** (l - 1)
-            W = np.zeros((n + 1, nc + 1))
-            for q in range(n + 1):
-                c, r = divmod(q, 3)
-                if r == 0:
-                    W[q, c] = 1.0
-                else:
-                    W[q, c] = 1.0 - r / 3.0
-                    W[q, c + 1] = r / 3.0
-        else:
-            W = None
-        levels.append(CoarseLevel(n=n, stencil=ops.stencil, diag=ops.diag,
-                                  interior=~vb, W=W))
+            q = np.arange(n + 1)
+            c, r = np.divmod(q, 3)
+            W = np.zeros((n + 1, 3 ** (l - 1) + 1))
+            W[q, c] = 1.0 - r / 3.0
+            W[q[r > 0], c[r > 0] + 1] = r[r > 0] / 3.0
+        levels.append(CoarseLevel(n=n, stencil=stencil, W=W))
     return CoarseSpace(dim=dim, levels=levels)
 
 
@@ -200,13 +209,14 @@ def h_vcycle(cspace, li, B, nu_pre=3, nu_post=3, omega=0.6):
     damped Jacobi smoothing and a direct solve on the base level."""
     if li == len(cspace.levels) - 1:
         return cspace.direct_solve(li, B)
-    U = cspace.jacobi(li, np.zeros_like(B), B, omega, nu_pre)
-    R = B - cspace.apply_stiffness(li, U)
-    R[~cspace.levels[li].interior] = 0.0
-    C = cspace.restrict(li, R)
+    U = np.zeros_like(B)
+    if nu_pre:      # the first sweep, from zero, is U = (omega / d) B
+        U[1:-1, 1:-1] = omega / cspace.levels[li].stencil[1, 1] * B[1:-1, 1:-1]
+    cspace.jacobi(li, U, B, omega, max(nu_pre - 1, 0))
+    C = cspace.restrict(li, B - cspace.apply_stiffness(li, U))
     E = h_vcycle(cspace, li + 1, C, nu_pre, nu_post, omega)
-    U = U + cspace.prolong(li, E)
-    U[~cspace.levels[li].interior] = 0.0
+    W = cspace.levels[li].W[1:-1, 1:-1]
+    U[1:-1, 1:-1] += W @ E[1:-1, 1:-1] @ W.T
     return cspace.jacobi(li, U, B, omega, nu_post)
 
 
@@ -215,21 +225,20 @@ def coarse_solve(cspace, B, cfg):
     solves of the residual until the normwise backward error
     |R| <= coarse_tol (|A| |U| + |B|) in the max norm (Rigal & Gaches,
     J. ACM 14, 1967), which unlike |R| <= coarse_tol |B| stays above
-    rounding when |U| >> |B|.  One step suffices in practice."""
+    rounding when |U| >> |B|.  Step one solves B itself; one suffices."""
     if cfg.coarse == "vcycle":
         return h_vcycle(cspace, 0, B, *cfg.nu_coarse, cfg.omega_coarse)
     if not np.all(np.isfinite(B)):
         raise CoarseSolveError("coarse vertex load is not finite")
     b_inf = np.max(np.abs(B))
     a_inf = np.abs(cspace.levels[0].stencil).sum()
-    U = np.zeros_like(B)
+    U, R = np.zeros_like(B), B      # R is the residual of U
     for _ in range(cfg.coarse_max_cycles):
-        R = B - cspace.apply_stiffness(0, U)
-        R[~cspace.levels[0].interior] = 0.0
         tol = cfg.coarse_tol * (a_inf * np.max(np.abs(U)) + b_inf)
-        if np.max(np.abs(R)) <= tol:
+        if np.max(np.abs(R[1:-1, 1:-1])) <= tol:
             return U
-        U = U + cspace.direct_solve(0, R)
+        U += cspace.direct_solve(0, R)
+        R = B - cspace.apply_stiffness(0, U)
     raise CoarseSolveError(
         f"coarse vertex solve did not reach a backward error of "
         f"{cfg.coarse_tol:g} in {cfg.coarse_max_cycles} steps")
@@ -299,27 +308,18 @@ class CycleTrace:
         return [e / d for e in self.err_l2]
 
     def to_csv(self, path):
-        rel_r, rel_p = self.rel_res(), self.rel_prec()
-        cols = "cycle,res_l2,res_linf,rel_res_l2,prec_l2,prec_linf,rel_prec_l2"
-        rel_e = self.rel_err() if self.err_l2 else None
-        if rel_e is not None:
-            cols += ",err_l2,err_linf,rel_err_l2"
+        cols = {"res_l2": self.res_l2, "res_linf": self.res_linf,
+                "rel_res_l2": self.rel_res(), "prec_l2": self.prec_l2,
+                "prec_linf": self.prec_linf, "rel_prec_l2": self.rel_prec()}
+        if self.err_l2:
+            cols.update(err_l2=self.err_l2, err_linf=self.err_linf,
+                        rel_err_l2=self.rel_err())
         with open(path, "w") as fh:
-            fh.write(cols + "\n")
+            fh.write(",".join(["cycle", *cols]) + "\n")
             for i in range(len(self.res_l2)):
-                p2 = self.prec_l2[i] if i < len(self.prec_l2) else float("nan")
-                pi = self.prec_linf[i] if i < len(self.prec_linf) else float("nan")
-                rp = rel_p[i] if i < len(rel_p) else float("nan")
-                row = [str(i + 1), fmt_float(self.res_l2[i]),
-                       fmt_float(self.res_linf[i]),
-                       fmt_float(rel_r[i]), fmt_float(p2),
-                       fmt_float(pi), fmt_float(rp)]
-                if rel_e is not None:
-                    e2 = self.err_l2[i] if i < len(self.err_l2) else float("nan")
-                    ei = self.err_linf[i] if i < len(self.err_linf) else float("nan")
-                    re = rel_e[i] if i < len(rel_e) else float("nan")
-                    row += [fmt_float(e2), fmt_float(ei), fmt_float(re)]
-                fh.write(",".join(row) + "\n")
+                row = [fmt_float(v[i] if i < len(v) else float("nan"))
+                       for v in cols.values()]
+                fh.write(",".join([str(i + 1), *row]) + "\n")
 
 
 @dataclass

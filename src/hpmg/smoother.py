@@ -220,14 +220,14 @@ class SmootherState:
         self.warm = True
 
     def project(self):
-        """Projection traversal, subdomain by subdomain, into the shared
-        store; returns the store for the interface exchange to check.  The
-        written flags are cleared first, so the exchange checks this
-        traversal's sides, not an earlier one's."""
+        """Projection traversal into the shared store, as one product over
+        all cells: the subdomains share the store, and one range keeps the
+        product on whole tiles.  Returns the store for the interface
+        exchange to check.  The written flags are cleared first, so the
+        exchange checks this traversal's sides, not an earlier one's."""
         store = self.proj[0]
         store.written[:] = False
-        for part in range(self.partition.nparts):
-            self._project_range(*self.partition.cell_range(part))
+        self._project_range(0, self.mesh.ncells)
         self._count(project=True)
         return store
 

@@ -117,16 +117,60 @@ def interbasis_matrix(basis_from, basis_to):
     return basis_from.eval(basis_to.nodes)
 
 
-def dense_vertex_matrix(cspace, li=0):
-    """Columns of the vertex stencil operator, Dirichlet rows eliminated."""
-    n = cspace.levels[li].n
-    nv = (n + 1) ** 2
-    A = np.zeros((nv, nv))
-    for j in range(nv):
-        e = np.zeros((n + 1, n + 1))
-        e.flat[j] = 1.0
-        A[:, j] = cspace.apply_stiffness(li, e).reshape(-1)
+def free_vertices(n):
+    """Flat mask of the interior vertices of an (n+1, n+1) vertex grid."""
+    free = np.zeros((n + 1, n + 1), dtype=bool)
+    free[1:-1, 1:-1] = True
+    return free.reshape(-1)
+
+
+def nine_point_stencil(stencil, U):
+    """The vertex stencil as nine shifted multiply-adds over a zero-padded
+    copy of U, with the Dirichlet rows zeroed afterwards."""
+    P = np.pad(U, 1)
+    R = np.zeros_like(U)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            R += stencil[di + 1, dj + 1] * P[1 + di:P.shape[0] - 1 + di,
+                                             1 + dj:P.shape[1] - 1 + dj]
+    R[0, :] = R[-1, :] = R[:, 0] = R[:, -1] = 0.0
+    return R
+
+
+def assembled_vertex_matrix(stencil, n):
+    """The stencil assembled row by row on the (n-1)^2 interior vertices
+    of an n-cell grid, row-major; couplings to the ring are dropped."""
+    m = n - 1
+    A = np.zeros((m * m, m * m))
+    for i in range(m):
+        for j in range(m):
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    if 0 <= i + di < m and 0 <= j + dj < m:
+                        A[i * m + j, (i + di) * m + j + dj] = \
+                            stencil[di + 1, dj + 1]
     return A
+
+
+def vcycle_dense(cspace, li, b, nu_pre, nu_post, omega):
+    """The vertex V-cycle from zero on interior-vertex vectors: assembled
+    matrices, dense damped Jacobi, transfers by kron(W, W) and a dense
+    solve on the base level.  Trusts only the levels' stencil, n and W."""
+    lev = cspace.levels[li]
+    A = assembled_vertex_matrix(lev.stencil, lev.n)
+    if li == len(cspace.levels) - 1:
+        return np.linalg.solve(A, b)
+    nc = cspace.levels[li + 1].n
+    P = np.kron(lev.W, lev.W)[np.ix_(free_vertices(lev.n), free_vertices(nc))]
+    w = omega / lev.stencil[1, 1]
+    u = np.zeros_like(b)
+    for _ in range(nu_pre):
+        u = u + w * (b - A @ u)
+    u = u + P @ vcycle_dense(cspace, li + 1, P.T @ (b - A @ u),
+                             nu_pre, nu_post, omega)
+    for _ in range(nu_post):
+        u = u + w * (b - A @ u)
+    return u
 
 
 def jacobi_iteration_dense(A, Sinv_blk, omega, u, b, nsteps=1):

@@ -10,7 +10,7 @@ module scope, so the gate stays well inside its time budgets.
 import csv
 import json
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from hpmg import (CellField, MgConfig, apply_operator, build_local_blocks,
                   build_rhs, discretisation_error, fit_slope, get_problem,
                   interpolate_exact, make_basis, make_partition, make_state,
                   memory_access_model, predict_blocks, solve, sweep)
-from hpmg.bench import (predicted_total_accesses, run_cycle_count_table,
-                        solver_config)
+from hpmg.bench import predicted_total_accesses, run_cycle_count_table
 
 
 def _report(tag, label, ok, detail):
@@ -339,12 +338,7 @@ def test_criterion_8_bitwise_reproducibility_from_manifest(tmp_path):
     bas = make_basis(knobs["basis"], p)
     blocks = build_local_blocks(bas, 2, mesh.h, theta=knobs["theta"],
                                 penalty_const=knobs["penalty_const"])
-    cfg = solver_config(None, omega=knobs["omega"], nu=knobs["nu"],
-                        coarse=knobs["coarse"], criterion=knobs["criterion"],
-                        eps=knobs["eps"], max_cycles=knobs["max_cycles"],
-                        variant=knobs["variant"],
-                        inverse=knobs["inverse_mode"],
-                        workers=knobs["workers"])
+    cfg = MgConfig(**{f.name: knobs[f.name] for f in fields(MgConfig)})
     b = build_rhs(get_problem(knobs["problem"]), mesh, bas)
     cspace = cspace_at(level)
 

@@ -188,6 +188,18 @@ def test_equivalence_suite(tmp_path):
     assert doc["config"]["n_iter"] == 4
 
 
+def test_equivalence_runs_each_distinct_partition_once(tmp_path):
+    # at one subdomain geometric is balanced; at two the splits differ
+    rows, _, all_ok = run_equivalence_suite(
+        p=2, level=1, n_iter=2, subdomains=(1, 2),
+        partitions=("balanced", "geometric"), variants=("vanilla", "fused"),
+        inverse_modes=("precomputed",), workers=(1,), out=str(tmp_path))
+    assert all_ok
+    assert len(rows) == 2 * 3
+    assert sorted({(r[3], r[4]) for r in rows}) == [
+        ("balanced", 1), ("balanced", 2), ("geometric", 2)]
+
+
 def test_predicted_accesses_consistent_with_bulk_model():
     # the bulk model amortises facets at 3.5 records each; resolving the
     # entities charges boundary facets 4, so the mesh total exceeds the

@@ -235,7 +235,6 @@ def test_vertex_operator_pieces():
     assert ops.stencil[1, 1] == pytest.approx(8.0 / 3.0)
     off = np.delete(ops.stencil.reshape(-1), 4)
     np.testing.assert_allclose(off, np.full(8, -1.0 / 3.0), atol=1e-15)
-    assert ops.diag == pytest.approx(8.0 / 3.0)
     # stencil is the element assembly around one interior vertex
     assert ops.stencil.sum() == pytest.approx(0.0)
     with pytest.raises(AssemblyError):

@@ -10,6 +10,7 @@ import pytest
 import hpmg.multigrid
 from hpmg import (
     CellField,
+    CoarseOps,
     MgConfig,
     MgError,
     NonFiniteError,
@@ -33,7 +34,8 @@ from hpmg.multigrid import (
 )
 
 from conftest import blocks_for, cspace_at, mesh_at
-from oracles import blocks_global, dense_vertex_matrix
+from oracles import (assembled_vertex_matrix, blocks_global, free_vertices,
+                     nine_point_stencil, vcycle_dense)
 
 
 def test_solve_leaves_the_callers_b_alone():
@@ -90,19 +92,26 @@ def test_vertex_prolongation_reproduces_bilinears():
         X, Y = np.meshgrid(x, x, indexing="ij")
         return 0.3 - 0.7 * X + 1.1 * Y + 0.9 * X * Y
 
-    got = cspace.prolong(0, bilinear(coarse.n))
+    got = fine.W @ bilinear(coarse.n) @ fine.W.T
     np.testing.assert_allclose(got, bilinear(fine.n), atol=1e-13)
 
 
 def test_transfer_adjointness(rng):
+    # restrict is the transpose of the interpolation kron(W, W) between
+    # interior vertices; it ignores R's ring and leaves its own ring zero
     cspace = cspace_at(2)
     nf, nc = cspace.levels[0].n, cspace.levels[1].n
+    W = cspace.levels[0].W
+    P = np.kron(W, W)[np.ix_(free_vertices(nf), free_vertices(nc))]
     for _ in range(20):
         C = _interior_random(nc, rng)
         R = rng.normal(size=(nf + 1, nf + 1))
-        lhs = float(np.sum(cspace.prolong(0, C) * R))
-        rhs = float(np.sum(C * cspace.restrict(0, R)))
+        lhs = float(np.sum((P @ C.reshape(-1)[free_vertices(nc)])
+                           * R.reshape(-1)[free_vertices(nf)]))
+        got = cspace.restrict(0, R)
+        rhs = float(np.sum(C * got))
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
+        assert not np.any(got.reshape(-1)[~free_vertices(nc)])
 
 
 def test_cell_vertex_transfer_adjointness(rng):
@@ -138,7 +147,6 @@ def test_correction_solves_restricted_system(rng):
     # and the vertex residual of eV itself is at rounding level
     bV = restrict_to_vertices(mesh, blocks, R)
     rV = bV - cspace.apply_stiffness(0, eV)
-    rV[~cspace.levels[0].interior] = 0.0
     assert np.max(np.abs(rV)) < 1e-11 * np.max(np.abs(bV))
 
 
@@ -169,13 +177,13 @@ def test_zero_residual_gives_zero_correction():
 def test_vertex_vcycle_contracts(rng):
     # one V-cycle from zero must at least halve the error (measured ~0.15)
     cspace = cspace_at(2)
-    A = dense_vertex_matrix(cspace)
     n = cspace.levels[0].n
-    free = cspace.levels[0].interior.reshape(-1)
+    A = assembled_vertex_matrix(cspace.levels[0].stencil, n)
+    free = free_vertices(n)
     for _ in range(3):
         B = _interior_random(n, rng)
         x = np.zeros((n + 1) ** 2)
-        x[free] = np.linalg.solve(A[np.ix_(free, free)], B.reshape(-1)[free])
+        x[free] = np.linalg.solve(A, B.reshape(-1)[free])
         exact = x.reshape(n + 1, n + 1)
         U = h_vcycle(cspace, 0, B)
         ratio = norm(U - exact) / norm(exact)
@@ -185,12 +193,10 @@ def test_vertex_vcycle_contracts(rng):
     U = np.zeros((n + 1, n + 1))
     errs = []
     x = np.zeros((n + 1) ** 2)
-    x[free] = np.linalg.solve(A[np.ix_(free, free)], B.reshape(-1)[free])
+    x[free] = np.linalg.solve(A, B.reshape(-1)[free])
     exact = x.reshape(n + 1, n + 1)
     for _ in range(6):
-        R = B - cspace.apply_stiffness(0, U)
-        R[~cspace.levels[0].interior] = 0.0
-        U = U + h_vcycle(cspace, 0, R)
+        U = U + h_vcycle(cspace, 0, B - cspace.apply_stiffness(0, U))
         errs.append(norm(U - exact))
     assert all(b < 0.5 * a for a, b in zip(errs, errs[1:]))
 
@@ -202,13 +208,92 @@ def test_vertex_vcycle_of_zero_is_zero():
     assert np.all(U == 0.0)
 
 
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("nu", [(3, 3), (0, 3), (3, 0)])
+def test_vertex_vcycle_matches_dense_oracle(level, nu, rng):
+    cspace = cspace_at(level)
+    n = cspace.levels[0].n
+    for _ in range(2):
+        B = _interior_random(n, rng)
+        U = h_vcycle(cspace, 0, B, *nu, 0.6)
+        want = vcycle_dense(cspace, 0, B[1:-1, 1:-1].reshape(-1), *nu, 0.6)
+        got = U[1:-1, 1:-1].reshape(-1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.any(U.reshape(-1)[~free_vertices(n)])
+
+
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_stiffness_matches_nine_point_loop(level, rng):
+    # a nonzero ring is read by the interior rows and never written
+    cspace = cspace_at(level)
+    for li, lev in enumerate(cspace.levels):
+        U = rng.normal(size=(lev.n + 1, lev.n + 1))
+        got = cspace.apply_stiffness(li, U)
+        want = nine_point_stencil(lev.stencil, U)
+        scale = np.abs(lev.stencil).sum() * np.max(np.abs(U))
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+        assert not np.any(got.reshape(-1)[~free_vertices(lev.n)])
+
+
+def test_jacobi_updates_the_interior_in_place(rng):
+    cspace = cspace_at(2)
+    n = cspace.levels[0].n
+    B = rng.normal(size=(n + 1, n + 1))
+    U = _interior_random(n, rng)
+    want = U.copy()
+    for _ in range(2):
+        R = B - nine_point_stencil(cspace.levels[0].stencil, want)
+        want[1:-1, 1:-1] += (0.6 / (8.0 / 3.0)) * R[1:-1, 1:-1]
+    assert cspace.jacobi(0, U, B, 0.6, 2) is U
+    np.testing.assert_allclose(U, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+    assert not np.any(U.reshape(-1)[~free_vertices(n)])
+
+
+def test_stencil_without_box_form_is_rejected(monkeypatch):
+    five = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
+    monkeypatch.setattr(hpmg.multigrid, "build_coarse_ops",
+                        lambda dim: CoarseOps(dim=dim, stencil=five))
+    with pytest.raises(MgError, match="box3x3"):
+        build_coarse_space(2, 2)
+
+
+def test_direct_solve_caches_its_sine_basis(rng):
+    cspace = cspace_at(3)
+    assert all(lev.sine is None for lev in build_coarse_space(2, 3).levels)
+    for li, lev in enumerate(cspace.levels):
+        B = _interior_random(lev.n, rng)
+        first = cspace.direct_solve(li, B)
+        S, mu = lev.sine
+        again = cspace.direct_solve(li, B)
+        assert lev.sine[0] is S and lev.sine[1] is mu
+        assert first.tobytes() == again.tobytes()
+        fresh = build_coarse_space(2, 3)
+        fresh.direct_solve(li, B)
+        assert S.tobytes() == fresh.levels[li].sine[0].tobytes()
+        assert mu.tobytes() == fresh.levels[li].sine[1].tobytes()
+
+
+def test_exact_mode_makes_one_direct_solve_per_load(monkeypatch):
+    # the first step solves for the load itself; one residual checks it
+    mesh, basis, blocks = blocks_for("lobatto", 2, 3)
+    cspace = build_coarse_space(2, 3)
+    b = build_rhs(get_problem("two_peak"), mesh, basis)
+    bV = restrict_to_vertices(mesh, blocks, b.data)
+    calls = []
+    for name in ("direct_solve", "apply_stiffness"):
+        fn = getattr(cspace, name)
+        monkeypatch.setattr(cspace, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    coarse_solve(cspace, bV, MgConfig(coarse="exact"))
+    assert calls == ["direct_solve", "apply_stiffness"]
+
+
 def test_exact_coarse_solve_reaches_rounding(rng):
     cspace = cspace_at(2)
     n = cspace.levels[0].n
     B = _interior_random(n, rng)
     U = coarse_solve(cspace, B, MgConfig(coarse="exact"))
     R = B - cspace.apply_stiffness(0, U)
-    R[~cspace.levels[0].interior] = 0.0
     assert np.max(np.abs(R)) <= 1e-12 * np.max(np.abs(B))
 
 
@@ -217,11 +302,11 @@ def test_direct_solve_matches_dense_solve(level, rng):
     # every level li, the 3x3-cell base level of the V-cycle included
     cspace = cspace_at(level)
     for li, lev in enumerate(cspace.levels):
-        A = dense_vertex_matrix(cspace, li)
-        free = lev.interior.reshape(-1)
+        A = assembled_vertex_matrix(lev.stencil, lev.n)
+        free = free_vertices(lev.n)
         B = _interior_random(lev.n, rng)
         x = np.zeros((lev.n + 1) ** 2)
-        x[free] = np.linalg.solve(A[np.ix_(free, free)], B.reshape(-1)[free])
+        x[free] = np.linalg.solve(A, B.reshape(-1)[free])
         U = cspace.direct_solve(li, B)
         assert np.max(np.abs(U.reshape(-1) - x)) <= 1e-13 * np.max(np.abs(x))
 
@@ -248,7 +333,6 @@ def test_exact_coarse_solve_of_smooth_load_meets_backward_error():
     cfg = MgConfig(coarse="exact", coarse_max_cycles=2)
     U = coarse_solve(cspace, B, cfg)
     R = B - cspace.apply_stiffness(0, U)
-    R[~cspace.levels[0].interior] = 0.0
     a_inf = np.abs(cspace.levels[0].stencil).sum()
     bound = a_inf * np.max(np.abs(U)) + np.max(np.abs(B))
     assert np.max(np.abs(R)) <= cfg.coarse_tol * bound

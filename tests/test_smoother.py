@@ -351,6 +351,23 @@ def test_projection_range_writes_only_its_rows():
             assert not proj.written[rows].any(), (q, rows)
 
 
+def test_projection_is_byte_identical_across_part_counts():
+    # one projection product covers all cells whatever the partition, and
+    # a part-by-part projection, whose ranges cut tiles, gives the same bits
+    mesh, basis, blocks, b, _ = _random_setup(p=3, level=3)
+    u = np.random.default_rng(1).normal(size=(mesh.ncells, blocks.nloc))
+    stores = []
+    for nparts in (1, 8):
+        part = make_partition(mesh, "balanced", nparts)
+        with make_state(mesh, basis, blocks, b, partition=part) as st:
+            st.set_solution(u)
+            stores.append(st.project().data.copy())
+            for q in range(nparts):
+                st._project_range(*part.cell_range(q))
+            stores.append(st.proj[0].data.copy())
+    assert all(s.tobytes() == stores[0].tobytes() for s in stores[1:])
+
+
 def test_state_as_context_manager_shuts_its_pool_down(recording_pool):
     # L4 has three blocks, so two workers really start the pool
     *_, st = _random_setup(p=1, level=4, variant="tasked", workers=2)
