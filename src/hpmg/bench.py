@@ -106,7 +106,7 @@ def _build_id():
                              timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return "unknown"
 

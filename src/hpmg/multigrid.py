@@ -16,7 +16,10 @@ that adds the correction and, when another cycle follows, re-projects the
 updated cells for its smoothing.  A run of n cycles touches the mesh
 n*(nu+2)+1 times.  The vanilla and stages sweeps read no traces a
 traversal before them wrote, so they run neither the warm-up nor the
-re-projection.
+re-projection.  trace.traversals counts this fused schedule; solve()
+itself still runs the restriction, the prolongation, the correction add,
+the norms of the iterate change and the re-projection as separate
+whole-array passes (ROADMAP item 5 fuses them into the block loops).
 
 Stopping is either on the residual recorded in the restriction traversal
 (criterion "unprec", no extra work) or on the difference of consecutive
@@ -27,6 +30,7 @@ one to the residual of the initial guess.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +58,10 @@ def _check_finite(norm, cycle):
         raise NonFiniteError(f"residual norm of {where} is {norm}")
 
 
+def _is_count(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 # traversals of the fine mesh per smoother sweep / residual evaluation
 _SWEEP_COST = {"vanilla": 1, "stages": 3, "fused": 1, "tasked": 1}
 
@@ -75,6 +83,15 @@ class MgConfig:
     workers: int = 1
 
     def validate(self):
+        for name in ("nu", "max_cycles", "coarse_max_cycles", "workers"):
+            if not _is_count(getattr(self, name)):
+                raise MgError(f"{name} must be an integer, "
+                              f"got {getattr(self, name)!r}")
+        if not (isinstance(self.nu_coarse, (tuple, list))
+                and len(self.nu_coarse) == 2
+                and all(map(_is_count, self.nu_coarse))):
+            raise MgError(f"nu_coarse must be a pair of integer sweep "
+                          f"counts, got {self.nu_coarse!r}")
         if self.criterion not in ("prec", "unprec", "error"):
             raise MgError(f"unknown stopping criterion {self.criterion!r}")
         if self.coarse not in ("exact", "vcycle"):
@@ -360,6 +377,9 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
         ref = None
         if cfg.criterion == "error":
             ref = np.zeros_like(state.u.data) if u_ref is None else np.asarray(u_ref)
+            if ref.size != state.u.data.size:
+                raise MgError(f"reference of shape {ref.shape} does not match "
+                              f"the iterate's {state.u.data.shape}")
             ref = ref.reshape(state.u.data.shape)
             trace.e0_l2, trace.e0_linf = _norms(state.u.data - ref)
             if trace.e0_l2 == 0.0:

@@ -9,9 +9,9 @@ different data flow:
             cell-face flux into a flux store, then accumulate residuals
             and update block by block from slices of that store.
   fused     a single touch of the cells per iteration, after one warm-up
-            projection traversal: one loop over blocks of BLOCK_TILES
-            tiles forms each block's cell-face fluxes, its residual, the
-            update and the re-projection of the updated cells.  Fluxes of
+            projection traversal: one loop over blocks of BLOCK cells
+            forms each block's cell-face fluxes, its residual, the update
+            and the re-projection of the updated cells.  Fluxes of
             iterate k are always formed from iterate k's traces: the loop
             re-projects into a second trace store, and the two stores swap
             at the end of the sweep.
@@ -29,18 +29,22 @@ and the iterate does not depend on the worker count or on the order the
 tasks run in.  The block kernels count nothing; each traversal adds its
 closed-form counts once, on the calling thread.
 
-Every cell-block product goes through _rows_mm, a BLAS product evaluated
-on one global grid of tiles of T = min(729, ncells) consecutive cells (a
-27x27 block of the curve in 2D on levels >= 3; T divides ncells).  BLAS
-rows are not batch-stable, but a row computed by a call of the same shape
-at the same offset in that call always has the same bits.  _rows_mm keeps
-that fixed: whole tiles go into one stacked call, and a range that cuts a
-tile is evaluated in a zero-padded tile-shaped buffer with its rows at
-their global offsets, so no foreign cell is read.  Whatever range a
-subdomain, a task or a block asks for, every row comes out bitwise the
-same, so stages, fused and tasked, on any subdomain and worker count,
-produce identical iterates.  Blocks are whole tiles, a few of them so the
-block's data stays in cache between the kernels.
+The mesh is cut into one grid of blocks of min(BLOCK, ncells) consecutive
+cells: BLOCK = 2187 = 3^7, and every mesh has a power of 3 cells, so a
+larger mesh splits into whole blocks.  The block is the traversal unit,
+small enough that its data stays in cache between the kernels, and the
+bitwise unit.  Every cell-block product goes through _rows_mm, one
+stacked BLAS call over whole blocks.  BLAS rows are not batch-stable, but
+a row computed by a call of the same shape at the same offset in that
+call always has the same bits; so a row's bits depend only on its block,
+and a block traversal, the whole-mesh projection, any subdomain count and
+any worker count produce identical iterates.  _project_range, the only
+method that takes a cell range from its caller, rejects a range that is
+not whole blocks, and _rows_mm one that is longer than a block and not a
+whole number of them.  Vanilla's boundary-cell products are exempt: they
+run on the boundary cells' own array, whose blocks are not the mesh's.
+Vanilla, whose arithmetic differs anyway, agrees with the other sweeps to
+1e-12, not bit for bit.
 
 The trace store is cell-major (see fields.FacetProjection): a cell range
 writes its signed value and derivative traces on all 2*dim faces with one
@@ -78,48 +82,34 @@ class SmootherError(RuntimeError):
     pass
 
 
-TILE = 729
-BLOCK_TILES = 3     # tiles per block of the single-touch traversals
+BLOCK = 2187        # cells per block: 3^7
 INVERSE_MODES = ("precomputed", "percell")
 
 
-def _tile(n):
-    """Rows per tile of the global grid over n cell rows."""
-    return min(TILE, n)
-
-
 def _block(n):
-    """Rows per block of a single-touch traversal over n cell rows."""
-    return min(BLOCK_TILES * _tile(n), n)
+    """Rows per block of the grid over n cell rows."""
+    return min(BLOCK, n)
 
 
-def _rows_mm(U, M, lo=0, n=None, out=None):
-    """U @ M.T for rows lo.. of an n-row array, on the global tile grid.
+def _rows_mm(U, M, out=None):
+    """U @ M.T as one stacked product over blocks of _block(len(U)) rows.
 
-    Whole tiles go into one stacked call; a tile the range cuts is
-    evaluated in a zero-padded tile buffer with the rows at their global
-    offsets.  Row k therefore has the same bits for every range that
-    contains it.  out, a C-contiguous (len(U), len(M)) array, receives
-    the rows in place of a new array.
+    U must be whole blocks, else SmootherError: a row then has the bits
+    of its block's product, whatever else the call covers.  out, a
+    C-contiguous (len(U), len(M)) array, receives the rows in place of a
+    new array.
     """
-    n = len(U) if n is None else n
-    T = _tile(n)
-    hi = lo + len(U)
+    rows = _block(len(U))
+    if len(U) % rows:
+        raise SmootherError(f"_rows_mm needs whole blocks of {rows} rows, "
+                            f"got {len(U)} rows")
     if out is None:
         out = np.empty((len(U), M.shape[0]))
     elif out.shape != (len(U), M.shape[0]) or not out.flags.c_contiguous:
         raise SmootherError("_rows_mm needs a C-contiguous output of shape "
                             f"{(len(U), M.shape[0])}, got {out.shape}")
-    a, b = -(-lo // T) * T, hi // T * T     # the whole tiles in [lo, hi)
-    if a < b:
-        np.matmul(U[a - lo:b - lo].reshape(-1, T, U.shape[1]), M.T,
-                  out=out[a - lo:b - lo].reshape(-1, T, M.shape[0]))
-    for s, e in ((lo, min(hi, a)), (max(lo, a, b), hi)):
-        if s < e:
-            t0 = s // T * T
-            buf = np.zeros((T, U.shape[1]))
-            buf[s - t0:e - t0] = U[s - lo:e - lo]
-            out[s - lo:e - lo] = (buf @ M.T)[s - t0:e - t0]
+    np.matmul(U.reshape(-1, rows, U.shape[1]), M.T,
+              out=out.reshape(-1, rows, M.shape[0]))
     return out
 
 
@@ -221,10 +211,10 @@ class SmootherState:
 
     def project(self):
         """Projection traversal into the shared store, as one product over
-        all cells: the subdomains share the store, and one range keeps the
-        product on whole tiles.  Returns the store for the interface
-        exchange to check.  The written flags are cleared first, so the
-        exchange checks this traversal's sides, not an earlier one's."""
+        all cells, whatever the subdomains: they share the store.  Returns
+        the store for the interface exchange to check.  The written flags
+        are cleared first, so the exchange checks this traversal's sides,
+        not an earlier one's."""
         store = self.proj[0]
         store.written[:] = False
         self._project_range(0, self.mesh.ncells)
@@ -235,10 +225,15 @@ class SmootherState:
         """Cells lo..hi's signed value and derivative traces on every face:
         one product by the stacked trace matrix, written straight into the
         rows lo..hi of the cell-major store (the current one by default);
-        the low-boundary records are negated afterwards."""
+        the low-boundary records are negated afterwards.  lo..hi must be
+        whole blocks of the grid, else SmootherError."""
         mesh, nf = self.mesh, self.blocks.nf
+        rows = _block(mesh.ncells)
+        if lo % rows or hi % rows or not 0 <= lo < hi <= mesh.ncells:
+            raise SmootherError(f"cells {lo}..{hi} are not whole blocks of "
+                                f"{rows} cells of the {mesh.ncells}-cell mesh")
         proj = self.proj[0] if store is None else store
-        _rows_mm(self.u.data[lo:hi], self.blocks.traces, lo, mesh.ncells,
+        _rows_mm(self.u.data[lo:hi], self.blocks.traces,
                  out=proj.data[lo:hi].reshape(hi - lo, -1))
         i, j = np.searchsorted(self._low_bnd, (lo * mesh.dim, hi * mesh.dim))
         faces = proj.data.reshape(-1, 2, 2 * nf)    # (cell, axis) by face
@@ -246,11 +241,10 @@ class SmootherState:
         proj.written[lo:hi] = True
 
     def _blocks(self):
-        """The (lo, hi) cell ranges of a single-touch traversal: BLOCK_TILES
-        whole tiles of the global grid each, or the whole mesh."""
+        """The (lo, hi) cell ranges of the grid of blocks, in mesh order."""
         n = self.mesh.ncells
         size = _block(n)
-        return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+        return [(lo, lo + size) for lo in range(0, n, size)]
 
     def _each_block(self, fn):
         """fn(lo, hi, bufs) for every block, bufs being one task's
@@ -326,16 +320,14 @@ class SmootherState:
         faces = fc.reshape(len(R), mesh.dim, 2, 2 * bl.nf)
         term = term[:len(R)]
         for s, f in np.ndindex(mesh.dim, 2):
-            _rows_mm(faces[:, s, f], bl.couplings[s, f], lo, mesh.ncells,
-                     out=term)
+            _rows_mm(faces[:, s, f], bl.couplings[s, f], out=term)
             R -= term
 
     def _block_residual(self, lo, hi, R, fc, term):
         """R = b - A u on cells lo..hi, given their cell-face fluxes fc; R
         is a C-contiguous (hi - lo, nloc) array, term a scratch buffer of
         at least as many rows."""
-        _rows_mm(self.u.data[lo:hi], self.blocks.Acc, lo, self.mesh.ncells,
-                 out=R)
+        _rows_mm(self.u.data[lo:hi], self.blocks.Acc, out=R)
         np.subtract(self.b.data[lo:hi], R, out=R)
         self._subtract_face_terms(R, fc, lo, term)
         return R
@@ -364,14 +356,10 @@ class SmootherState:
                                                            bl.nloc)))
 
     def _update_range(self, R, lo=0):
-        """u += omega S^-1 r on cells lo.., tile by tile; percell mode
-        rebuilds the inverse on every tile visit."""
-        n = self.mesh.ncells
-        T = _tile(n)
-        for t in range(0, len(R), T):
-            r = R[t:t + T]
-            self.u.data[lo + t:lo + t + len(r)] += self.omega * _rows_mm(
-                r, self._cell_inverse(), lo + t, n)
+        """u += omega S^-1 r on cells lo.., one product; percell mode
+        rebuilds the inverse on every call, so once per block visit."""
+        self.u.data[lo:lo + len(R)] += self.omega * _rows_mm(
+            R, self._cell_inverse())
 
     def _backup_old(self):
         if self.u_old is None:
@@ -403,7 +391,11 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
         raise SmootherError("right-hand side shape does not match mesh/basis")
     u = CellField.zeros(mesh.ncells, blocks.nloc)
     if u0 is not None:
-        u.data[:] = u0.data if isinstance(u0, CellField) else u0
+        u0 = np.asarray(u0.data if isinstance(u0, CellField) else u0)
+        if u0.shape != u.data.shape:
+            raise SmootherError(f"initial guess of shape {u0.shape} does not "
+                                f"match mesh/basis {u.data.shape}")
+        u.data[:] = u0
     st = SmootherState(
         mesh=mesh, basis=basis, blocks=blocks, partition=partition,
         u=u, b=CellField(bdata), omega=omega,
@@ -438,7 +430,7 @@ def sweep_vanilla(state):
     for s, f in np.ndindex(mesh.dim, 2):
         bnd = mesh.facet_boundary[mesh.cell_facets[:, s, f]]
         diag = _rows_mm(U, bl.D_int[s, f])
-        if bnd.any():
+        if bnd.any():   # the boundary cells' own grid: see the module doc
             diag[bnd] = _rows_mm(U[bnd], bl.D_bnd[s, f])
         R -= diag
     Upad = np.vstack([U, np.zeros((1, bl.nloc))])

@@ -72,6 +72,15 @@ def test_manifest_records_numpy_blas_and_threads(tmp_path, monkeypatch):
                               "OMP_NUM_THREADS": None}
 
 
+def test_manifest_survives_a_git_call_that_hangs(tmp_path, monkeypatch):
+    def hang(cmd, **kw):
+        raise bench.subprocess.TimeoutExpired(cmd, kw.get("timeout"))
+
+    monkeypatch.setattr(bench.subprocess, "run", hang)
+    run_model_table(dims=(2,), p_max=1, out=str(tmp_path))
+    assert _read_manifest(tmp_path / "model.json")["build_id"] == "unknown"
+
+
 def test_convergence_study(tmp_path):
     out = str(tmp_path)
     rows, slopes = run_convergence_study([1], [1, 2], out=out)

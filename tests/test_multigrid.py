@@ -14,6 +14,7 @@ from hpmg import (
     MgConfig,
     MgError,
     NonFiniteError,
+    SmootherError,
     SmootherState,
     apply_operator,
     build_coarse_space,
@@ -499,9 +500,11 @@ def test_tasked_solve_is_bitwise_fused_for_any_workers():
         assert res.trace.cycles == base.trace.cycles
 
 
-def test_solve_is_bitwise_across_tile_boundaries():
-    # at L4 the 6561 cells form 9 tiles of 729; the part ranges and the
-    # tasks cut tiles, which no mesh at L <= 2 (a single tile) does
+def test_solve_is_bitwise_across_blocks():
+    # at L4 the 6561 cells form 3 blocks of 2187, which no mesh at L <= 3
+    # (a single block) has; the part ranges cut blocks, but they cut no
+    # product: the projection covers all cells, and the tasks run whole
+    # blocks
     mesh, basis, blocks = blocks_for("lobatto", 1, 4)
     b = build_rhs(get_problem("two_peak"), mesh, basis)
     cfg = MgConfig(eps=1e-7)
@@ -605,10 +608,38 @@ def test_trace_history_and_csv(tmp_path):
     {"omega": 1.5},
     {"omega": float("nan")},
     {"workers": 0},
+    {"nu": 2.5},
+    {"max_cycles": 2.5},
+    {"coarse_max_cycles": 2.5},
+    {"workers": 1.5},
+    {"nu_coarse": (3,)},
+    {"nu_coarse": 3},
+    {"nu_coarse": (3, 2.5)},
 ])
 def test_config_validation_rejects_out_of_range_values(bad):
     with pytest.raises(MgError):
         MgConfig(**bad).validate()
+
+
+def test_config_validation_accepts_integer_counts_of_any_kind():
+    # a manifest replays nu_coarse as a JSON list, and numpy integers count
+    MgConfig(nu_coarse=[3, 3], nu=np.int64(2), workers=np.int32(1)).validate()
+
+
+def test_initial_guess_and_reference_of_the_wrong_shape_raise():
+    # a single row would broadcast over every cell
+    mesh, basis, blocks = blocks_for("lobatto", 2, 2)
+    b = build_rhs(get_problem("sin_product"), mesh, basis)
+    for u0 in (np.ones(blocks.nloc), np.ones(5),
+               np.ones((mesh.ncells, blocks.nloc + 1))):
+        with pytest.raises(SmootherError, match="initial guess"):
+            solve(mesh, basis, blocks, b, MgConfig(), u0=u0)
+    cfg = MgConfig(criterion="error")
+    with pytest.raises(MgError, match="reference"):
+        solve(mesh, basis, blocks, b, cfg, u_ref=np.ones(5))
+    # a flat reference of the right size is the iterate's layout
+    ref = np.zeros(mesh.ncells * blocks.nloc)
+    assert solve(mesh, basis, blocks, b, cfg, u_ref=ref).trace.converged
 
 
 def test_failed_tasked_solve_shuts_its_thread_pool_down(recording_pool):

@@ -2,14 +2,16 @@
 
 perfbench/*.py import names from hpmg and its modules, perfbench/tracing.py
 wraps module-level functions of hpmg.multigrid and hpmg.smoother by name,
-and perfbench/workloads.py builds MgConfig objects by field name; renaming,
-moving or inlining one of them breaks the benchmark without failing any
-solver test.
+perfbench/workloads.py builds MgConfig objects by field name, and
+perfbench/run.py reads attributes of a SmootherState; renaming, moving or
+inlining one of them breaks the benchmark without failing any solver test.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,3 +86,15 @@ def test_every_hpmg_name_perfbench_imports_resolves():
                 hasattr(mod, "__path__")
                 and importlib.util.find_spec(f"{module}.{name}")), \
                 f"{source} imports {name} from {module}, which lacks it"
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_benchmark_runs_a_workload_end_to_end(trace):
+    # a short run of the smallest workload, as the benchmark runs it
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "tasked-p3",
+         "--seconds", "0.5", "--trace", str(trace)],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True

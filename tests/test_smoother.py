@@ -16,7 +16,7 @@ from hpmg import (
     sweep,
 )
 from hpmg.fields import DER, VAL
-from hpmg.smoother import (BLOCK_TILES, TILE, _rows_mm, compute_residual_only,
+from hpmg.smoother import (BLOCK, _rows_mm, compute_residual_only,
                            sweep_fused)
 
 from conftest import blocks_for, rng  # noqa: F401
@@ -112,10 +112,10 @@ def test_partition_and_worker_invariance():
 
 @pytest.mark.parametrize("level, p", [(4, 2), (5, 1)])
 def test_block_traversals_agree_bitwise(level, p):
-    # several blocks of tiles: no block may read traces that an earlier
-    # block of the same sweep already replaced
+    # several blocks: no block may read traces that an earlier block of
+    # the same sweep already replaced
     mesh, basis, blocks, b, _ = _random_setup(p=p, level=level)
-    assert mesh.ncells > BLOCK_TILES * min(TILE, mesh.ncells)
+    assert mesh.ncells > BLOCK
 
     def three_sweeps(**kw):
         return _run(make_state(mesh, basis, blocks, b, omega=0.9, **kw), 3)
@@ -278,28 +278,29 @@ def test_cold_fused_and_tasked_refuse_to_run():
 @pytest.mark.parametrize("nloc", [4, 16, 49])
 def test_rows_mm_rows_do_not_depend_on_the_range(nloc):
     # BLAS gives a row different bits in calls of different shapes; on the
-    # global tile grid every range gets the bits of the whole-array call
-    n = 6561
+    # one grid of blocks every run of whole blocks gets the bits of the
+    # whole-array call, and a range that cuts a block is refused
+    n = 3 * BLOCK
     gen = np.random.default_rng(nloc)
     U = gen.normal(size=(n, nloc))
     nf = int(round(nloc ** 0.5))
-    ranges = [(10, 20), (700, 800), (3000, 3001),     # cut one or two tiles
-              (729, 2916), (0, n),                    # whole tiles
-              (100, 3000), (5, n), (0, 1500)]         # both
-    ranges += [tuple(sorted(gen.choice(n + 1, 2, replace=False)))
-               for _ in range(12)]
+    ranges = [(lo * BLOCK, hi * BLOCK) for lo, hi in
+              ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))]
     # cell blocks, one face's traces, the stacked traces of all 2*dim faces
     for M in (gen.normal(size=(nloc, nloc)), gen.normal(size=(2 * nf, nloc)),
               gen.normal(size=(2 * 2 * 2 * nf, nloc))):
         full = _rows_mm(U, M)
         for lo, hi in ranges:
-            part = _rows_mm(U[lo:hi], M, lo, n)
+            part = _rows_mm(U[lo:hi], M)
             assert part.tobytes() == full[lo:hi].tobytes(), (lo, hi)
             # the projection's call: rows written into a slice of a store
             store = np.full((n + 3, len(M)), np.inf)
-            _rows_mm(U[lo:hi], M, lo, n, out=store[lo + 1:hi + 1])
+            _rows_mm(U[lo:hi], M, out=store[lo + 1:hi + 1])
             assert store[lo + 1:hi + 1].tobytes() == full[lo:hi].tobytes(), (lo, hi)
             assert np.isinf(store[:lo + 1]).all() and np.isinf(store[hi + 1:]).all()
+        for lo, hi in ((0, BLOCK + 1), (100, 3000), (5, n)):
+            with pytest.raises(SmootherError, match="whole blocks"):
+                _rows_mm(U[lo:hi], M)
 
 
 def test_rows_mm_rejects_an_output_it_cannot_fill_in_place():
@@ -336,24 +337,30 @@ def test_projection_records_carry_the_facet_signs(p):
 
 
 def test_projection_range_writes_only_its_rows():
-    mesh, basis, blocks, b, st = _random_setup(p=2, level=2)
+    # at L4 the 6561 cells form 3 blocks
+    mesh, basis, blocks, b, st = _random_setup(p=2, level=4)
     st.set_solution(np.random.default_rng(0).normal(size=(mesh.ncells, blocks.nloc)))
-    part = make_partition(mesh, "geometric", 3)
     proj = st.proj[0]
-    for q in range(part.nparts):
-        lo, hi = part.cell_range(q)
+    assert st._blocks() == [(0, BLOCK), (BLOCK, 2 * BLOCK),
+                            (2 * BLOCK, mesh.ncells)]
+    for lo, hi in st._blocks() + [(0, 2 * BLOCK), (BLOCK, mesh.ncells)]:
         proj.data[:] = np.nan
         proj.written[:] = False
         st._project_range(lo, hi)
         assert np.isfinite(proj.data[lo:hi]).all() and proj.written[lo:hi].all()
         for rows in (slice(0, lo), slice(hi, None)):
-            assert np.isnan(proj.data[rows]).all(), (q, rows)
-            assert not proj.written[rows].any(), (q, rows)
+            assert np.isnan(proj.data[rows]).all(), (lo, hi, rows)
+            assert not proj.written[rows].any(), (lo, hi, rows)
+    # a range that is not whole blocks is refused, and nothing is written
+    proj.written[:] = False
+    for lo, hi in ((0, 100), (10, BLOCK), (BLOCK, BLOCK), (0, 4 * BLOCK)):
+        with pytest.raises(SmootherError, match="whole blocks"):
+            st._project_range(lo, hi)
+    assert not proj.written.any()
 
 
 def test_projection_is_byte_identical_across_part_counts():
-    # one projection product covers all cells whatever the partition, and
-    # a part-by-part projection, whose ranges cut tiles, gives the same bits
+    # one projection product covers all cells whatever the partition
     mesh, basis, blocks, b, _ = _random_setup(p=3, level=3)
     u = np.random.default_rng(1).normal(size=(mesh.ncells, blocks.nloc))
     stores = []
@@ -362,10 +369,7 @@ def test_projection_is_byte_identical_across_part_counts():
         with make_state(mesh, basis, blocks, b, partition=part) as st:
             st.set_solution(u)
             stores.append(st.project().data.copy())
-            for q in range(nparts):
-                st._project_range(*part.cell_range(q))
-            stores.append(st.proj[0].data.copy())
-    assert all(s.tobytes() == stores[0].tobytes() for s in stores[1:])
+    assert stores[1].tobytes() == stores[0].tobytes()
 
 
 def test_state_as_context_manager_shuts_its_pool_down(recording_pool):
