@@ -12,8 +12,8 @@ experiment drivers behind the `hpmg-bench` command line.
 from .basis import BasisError, NodalBasis1D, make_basis, ref_matrices
 from .fields import (CellField, FacetFlux, FacetProjection, FieldError,
                      exchange_interface, fmt_float, norm)
-from .localops import (AssemblyError, CoarseOps, LocalBlocks, apply_flux,
-                       build_coarse_ops, build_local_blocks, default_penalty,
+from .localops import (AssemblyError, LocalBlocks, apply_flux,
+                       build_local_blocks, default_penalty,
                        memory_access_model, predict_blocks)
 from .mesh import (Mesh, MeshError, Partition, build_hierarchy,
                    make_partition, peano_order)
@@ -29,14 +29,14 @@ from .smoother import (SmootherError, SmootherState, SweepCounters,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "BasisError", "CellField", "CoarseOps",
+    "AssemblyError", "BasisError", "CellField",
     "CoarseSolveError",
     "CycleTrace", "FacetFlux", "FacetProjection", "FieldError",
     "LocalBlocks", "Mesh", "MeshError", "MgConfig", "MgError", "MgResult",
     "NodalBasis1D", "NonFiniteError", "Partition", "Problem", "ProblemError",
     "SmootherError",
     "SmootherState", "SweepCounters", "apply_flux",
-    "apply_operator", "build_coarse_ops", "build_coarse_space",
+    "apply_operator", "build_coarse_space",
     "build_hierarchy",
     "build_local_blocks", "build_rhs", "cell_nodes", "compute_residual_only",
     "default_penalty", "discretisation_error",

@@ -319,20 +319,18 @@ def run_residual_history(problem="two_peak", p=2, level=3, basis="lobatto",
     sm_rows = []
     with make_state(mesh, bas, blocks, b.copy(), omega=omega_smoother,
                     variant=cfg.variant, inverse_mode=cfg.inverse_mode,
-                    workers=cfg.workers) as st:
+                    workers=cfg.workers, track_old=True) as st:
         st.warm_up()
         r0 = compute_residual_only(st)
         n0_2 = float(np.linalg.norm(r0.data))
         n0_i = float(np.max(np.abs(r0.data)))
-        uprev = st.u.data.copy()
         d1 = None
         for it in range(1, max_sweeps + 1):
             sweep(st)
             r = compute_residual_only(st)
             r2 = float(np.linalg.norm(r.data))
             ri = float(np.max(np.abs(r.data)))
-            diff = float(np.linalg.norm(st.u.data - uprev))
-            uprev = st.u.data.copy()
+            diff = float(np.linalg.norm(st.u.data - st.u_old.data))
             if d1 is None:
                 d1 = diff if diff > 0 else 1.0
             sm_rows.append((it, r2, ri, r2 / n0_2, ri / n0_i, diff, diff / d1))

@@ -61,12 +61,17 @@ class CellField:
 class FacetProjection:
     """Signed traces per cell face: data[cell, axis, face, quantity, node].
 
-    face 0/1 is the low/high face along the axis, quantity 0/1 the value
-    and the n_F-directed derivative; the value carries +1 on the minus
-    side of the facet and -1 on the plus side.  Row (c*dim + s)*2 + f of
-    records() is one record, the layout Mesh.facet_records indexes.  The
-    written flags, one per record, track which records a traversal has
-    produced; the interface exchange checks them.
+    face 0/1 is the low/high face along axis s, quantity 0/1 the value and
+    the derivative.  Every record holds its cell's value trace, signed -1
+    on the low face and +1 on the high face, and its derivative along
+    +e_s: the signed stack LocalBlocks.traces applied to the cell, with no
+    exception.  On an interior facet, whose normal n_F is +e_s, that is
+    the facet convention: value +1 on the minus side and -1 on the plus
+    side, derivative along n_F.  A boundary record is read only by its own
+    cell's residual.  Row (c*dim + s)*2 + f of records() is one record,
+    the layout Mesh.facet_records indexes.  The written flags, one per
+    record, track which records a traversal has produced; the interface
+    exchange checks them.
     """
 
     data: np.ndarray
@@ -86,10 +91,10 @@ class FacetProjection:
 class FacetFlux:
     """Numerical fluxes per cell face: data[cell, axis, face, quantity, node].
 
-    The layout of FacetProjection: row (c*dim + s)*2 + f of records() is
-    the flux of the facet under cell c's face (s, f), so the two cells of
-    an interior facet each hold a copy of its flux, and a boundary face
-    holds the one-sided record of its cell.
+    The layout and signs of FacetProjection: row (c*dim + s)*2 + f of
+    records() is the flux of the facet under cell c's face (s, f), so the
+    two cells of an interior facet each hold a copy of its flux, and a
+    boundary face holds its cell's own record as the projection wrote it.
     """
 
     data: np.ndarray

@@ -17,11 +17,18 @@ which is what the block smoother inverts.  All blocks are assembled from
 1D reference matrices via tensor products, so a single set per (basis, h)
 serves every cell of a uniform mesh.
 
-Sign conventions: on a facet with normal n_F the minus-side value trace
-enters with +1 and the plus side with -1, so the value flux equals half
-the jump; derivative traces are taken along n_F on both sides.  The sign
-of a cell's facet contribution to its residual is -1 on the side whose
-outward normal equals n_F (the minus cell) and +1 on the other.  The signs
+Sign conventions: an interior facet normal to axis s has n_F = +e_s; its
+minus-side value trace enters with +1 and the plus side with -1, so the
+value flux equals half the jump, and derivative traces are taken along
+n_F on both sides.  The sign of a cell's facet contribution to its
+residual is -1 on the side whose outward normal equals n_F (the minus
+cell) and +1 on the other.  Per cell face that is one table: the value
+trace -1 on the low face and +1 on the high face, the derivative along
++e_s, the residual sign +1 on the low face and -1 on the high face.  It
+holds on the domain boundary too: a boundary facet has one side, its flux
+is its cell's record, and its term is the product of two one-sided
+factors, so the direction of the boundary normal drops out (Arnold,
+Brezzi, Cockburn & Marini, SIAM J. Numer. Anal. 39, 2002).  The signs
 live here only: _condense folds them into the condensed blocks, and
 LocalBlocks into the signed stacks the traversals read.
 """
@@ -258,13 +265,13 @@ def predict_blocks(unit, h, gamma=None):
 def apply_flux(q_minus, q_plus, out=None):
     """Numerical flux record from the two-sided trace records.
 
-    A record stacks the signed value trace and the n_F-directed derivative
-    trace.  The flux averages the two sides, which turns the signed value
-    pair into half the jump.  A boundary face is paired with its own
-    record (Mesh.opposite_records), and the average of a record with
-    itself is that record, bit for bit.  Works on single records and on
-    batches alike; out, which may be q_minus itself, receives the result
-    in place of a new array.
+    A record stacks the signed value trace and the derivative trace along
+    +e_s (see FacetProjection).  The flux averages the two sides, which
+    turns the signed value pair into half the jump.  A boundary face is
+    paired with its own record (Mesh.opposite_records), and the average
+    of a record with itself is that record, bit for bit.  Works on single
+    records and on batches alike; out, which may be q_minus itself,
+    receives the result in place of a new array.
     """
     if out is None:
         return 0.5 * (q_minus + q_plus)
@@ -290,20 +297,3 @@ def memory_access_model(variant, dim, p):
     if variant == "fused_standalone":
         return 5 * cell + 7 * dim * face
     raise ValueError(f"unknown variant {variant!r}")
-
-
-@dataclass
-class CoarseOps:
-    """Continuous bilinear (vertex) operator pieces on square cells."""
-
-    dim: int
-    stencil: np.ndarray   # assembled 9-point stencil at an interior vertex
-
-
-def build_coarse_ops(dim):
-    if dim != 2:
-        raise AssemblyError("vertex-space operators are implemented for dim = 2")
-    # the bilinear stiffness on squares is independent of h in 2D
-    stencil = np.full((3, 3), -1.0 / 3.0)
-    stencil[1, 1] = 8.0 / 3.0
-    return CoarseOps(dim=dim, stencil=stencil)

@@ -30,14 +30,13 @@ one to the residual of the initial guess.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import CellField, exchange_interface, fmt_float
-from .localops import build_coarse_ops
-from .smoother import INVERSE_MODES, SWEEPS, compute_residual_only, make_state
+from .smoother import (SWEEPS, SmootherError, check_settings,
+                       compute_residual_only, is_count, make_state)
 
 
 class MgError(RuntimeError):
@@ -56,10 +55,6 @@ def _check_finite(norm, cycle):
     if not np.isfinite(norm):
         where = f"cycle {cycle}" if cycle else "the initial guess"
         raise NonFiniteError(f"residual norm of {where} is {norm}")
-
-
-def _is_count(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 # traversals of the fine mesh per smoother sweep / residual evaluation
@@ -83,28 +78,24 @@ class MgConfig:
     workers: int = 1
 
     def validate(self):
-        for name in ("nu", "max_cycles", "coarse_max_cycles", "workers"):
-            if not _is_count(getattr(self, name)):
+        for name in ("nu", "max_cycles", "coarse_max_cycles"):
+            if not is_count(getattr(self, name)):
                 raise MgError(f"{name} must be an integer, "
                               f"got {getattr(self, name)!r}")
         if not (isinstance(self.nu_coarse, (tuple, list))
                 and len(self.nu_coarse) == 2
-                and all(map(_is_count, self.nu_coarse))):
+                and all(map(is_count, self.nu_coarse))):
             raise MgError(f"nu_coarse must be a pair of integer sweep "
                           f"counts, got {self.nu_coarse!r}")
         if self.criterion not in ("prec", "unprec", "error"):
             raise MgError(f"unknown stopping criterion {self.criterion!r}")
         if self.coarse not in ("exact", "vcycle"):
             raise MgError(f"unknown coarse solve mode {self.coarse!r}")
-        if self.variant not in SWEEPS:
-            raise MgError(f"unknown smoother variant {self.variant!r}")
-        if self.inverse_mode not in INVERSE_MODES:
-            raise MgError(f"unknown inverse mode {self.inverse_mode!r}")
-        if not 0.0 <= self.omega <= 1.0:     # also rejects NaN
-            raise MgError(f"relaxation weight omega must be in [0, 1], "
-                          f"got {self.omega}")
-        if self.workers < 1:
-            raise MgError(f"workers must be >= 1, got {self.workers}")
+        try:
+            check_settings(self.omega, self.variant, self.inverse_mode,
+                           self.workers)
+        except SmootherError as exc:
+            raise MgError(str(exc)) from exc
         if self.nu < 1:
             raise MgError("need at least one smoothing sweep per cycle")
         if not self.eps >= 0.0:     # also rejects NaN
@@ -203,10 +194,9 @@ class CoarseSpace:
 def build_coarse_space(dim, level):
     if dim != 2:
         raise MgError("vertex-grid hierarchy is implemented for dim == 2")
-    stencil = build_coarse_ops(dim).stencil
-    if stencil.shape != (3, 3) or np.any(np.delete(stencil, 4) != stencil[0, 0]):
-        raise MgError(f"vertex kernels need a stencil a I + b box3x3, "
-                      f"got {stencil.tolist()}")
+    # the bilinear stiffness on squares is independent of h in 2D
+    stencil = np.full((3, 3), -1.0 / 3.0)
+    stencil[1, 1] = 8.0 / 3.0
     levels = []
     for l in range(level, 0, -1):
         n = 3 ** l
@@ -367,6 +357,9 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
     cfg.validate()
     if cspace is None:
         cspace = build_coarse_space(mesh.dim, mesh.level)
+    if cspace.levels[0].n != mesh.n:
+        raise MgError(f"coarse space of {cspace.levels[0].n} cells per "
+                      f"direction does not match the mesh's {mesh.n}")
     sweep_fn = SWEEPS[cfg.variant]
     sweep_cost = _SWEEP_COST[cfg.variant]
     trace = CycleTrace(eps=cfg.eps, criterion=cfg.criterion)

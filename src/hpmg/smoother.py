@@ -51,14 +51,12 @@ writes its signed value and derivative traces on all 2*dim faces with one
 product by the stacked trace matrix, straight into its contiguous block of
 the store.  The fluxes are the only gather: a block's cell-face fluxes are
 one take of the records across its faces (Mesh.opposite_records), averaged
-in place with the block's own contiguous records.  The trace signs and the
-residual signs of the face couplings are folded into the signed stacks
-LocalBlocks.traces and LocalBlocks.couplings, where localops keeps the
-whole sign convention; only the records of low faces on the domain
-boundary, where the cell is the minus side and n_F = -e_s, are negated
-after the projection, and their fluxes before the face-term product.
-Negation is exact, so the iterates keep the bits of applying the signs to
-the data.
+in place with the block's own contiguous records.  The signs of the
+traces and of the face terms are those folded into the signed stacks
+LocalBlocks.traces and LocalBlocks.couplings, the one table of localops,
+with no exception: a boundary facet has one side, its flux is its cell's
+own record, and its face term, a product of two one-sided factors, does
+not depend on which way the boundary normal points.
 
 The update uses the interior-cell block inverse everywhere, also next to
 the boundary; the residual keeps the exact one-sided boundary fluxes, so
@@ -67,13 +65,13 @@ the fixed point is the exact discrete solution.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (MINUS, CellField, FacetFlux, FacetProjection,
-                     exchange_interface)
+from .fields import CellField, FacetFlux, FacetProjection, exchange_interface
 from .localops import apply_flux
 from .mesh import make_partition
 
@@ -84,6 +82,23 @@ class SmootherError(RuntimeError):
 
 BLOCK = 2187        # cells per block: 3^7
 INVERSE_MODES = ("precomputed", "percell")
+
+
+def is_count(v):
+    """Whether v is an integer of any kind, bool excepted."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_settings(omega, variant, inverse_mode, workers):
+    """SmootherError unless the smoother settings are valid."""
+    if variant not in SWEEPS:
+        raise SmootherError(f"unknown smoother variant {variant!r}")
+    if inverse_mode not in INVERSE_MODES:
+        raise SmootherError(f"unknown inverse mode {inverse_mode!r}")
+    if not 0.0 <= omega <= 1.0:     # also rejects NaN
+        raise SmootherError(f"relaxation weight must be in [0, 1], got {omega}")
+    if not is_count(workers) or workers < 1:
+        raise SmootherError(f"workers must be an integer >= 1: {workers!r}")
 
 
 def _block(n):
@@ -177,7 +192,6 @@ class SmootherState:
     warm: bool = False
     u_old: CellField = None
     _executor: object = None
-    _low_bnd: np.ndarray = None  # c*dim + s of every low face on the boundary
     _next: FacetProjection = None  # the fused sweep's re-projection store
     _bufs: list = None  # per task: a block's (fluxes, residual, face term)
 
@@ -224,10 +238,9 @@ class SmootherState:
     def _project_range(self, lo, hi, store=None):
         """Cells lo..hi's signed value and derivative traces on every face:
         one product by the stacked trace matrix, written straight into the
-        rows lo..hi of the cell-major store (the current one by default);
-        the low-boundary records are negated afterwards.  lo..hi must be
-        whole blocks of the grid, else SmootherError."""
-        mesh, nf = self.mesh, self.blocks.nf
+        rows lo..hi of the cell-major store (the current one by default).
+        lo..hi must be whole blocks of the grid, else SmootherError."""
+        mesh = self.mesh
         rows = _block(mesh.ncells)
         if lo % rows or hi % rows or not 0 <= lo < hi <= mesh.ncells:
             raise SmootherError(f"cells {lo}..{hi} are not whole blocks of "
@@ -235,9 +248,6 @@ class SmootherState:
         proj = self.proj[0] if store is None else store
         _rows_mm(self.u.data[lo:hi], self.blocks.traces,
                  out=proj.data[lo:hi].reshape(hi - lo, -1))
-        i, j = np.searchsorted(self._low_bnd, (lo * mesh.dim, hi * mesh.dim))
-        faces = proj.data.reshape(-1, 2, 2 * nf)    # (cell, axis) by face
-        faces[self._low_bnd[i:j], 0] *= -1
         proj.written[lo:hi] = True
 
     def _blocks(self):
@@ -306,17 +316,12 @@ class SmootherState:
         if update:
             c.cell_writes += n * bl.nloc
 
-    def _subtract_face_terms(self, R, fc, lo, term):
-        """R -= each face's share of the residual of cells lo.., one face at
+    def _subtract_face_terms(self, R, fc, term):
+        """R -= each face's share of the residual of R's cells, one face at
         a time in (axis, low/high) order: the face's rows of the cell-face
-        fluxes fc (as _face_fluxes lays them out) times its signed
-        [Acf_w | Acf_wp] in LocalBlocks.couplings.  The rows of low faces on
-        the boundary, where the cell is the minus side, are negated in fc
-        first."""
+        fluxes fc (as _face_fluxes lays them out; only read) times its
+        signed [Acf_w | Acf_wp] in LocalBlocks.couplings, on every face."""
         mesh, bl = self.mesh, self.blocks
-        hi = lo + len(R)
-        i, j = np.searchsorted(self._low_bnd, (lo * mesh.dim, hi * mesh.dim))
-        fc[2 * (self._low_bnd[i:j] - lo * mesh.dim)] *= -1
         faces = fc.reshape(len(R), mesh.dim, 2, 2 * bl.nf)
         term = term[:len(R)]
         for s, f in np.ndindex(mesh.dim, 2):
@@ -329,7 +334,7 @@ class SmootherState:
         at least as many rows."""
         _rows_mm(self.u.data[lo:hi], self.blocks.Acc, out=R)
         np.subtract(self.b.data[lo:hi], R, out=R)
-        self._subtract_face_terms(R, fc, lo, term)
+        self._subtract_face_terms(R, fc, term)
         return R
 
     def _gather_residual(self):
@@ -374,16 +379,12 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
                variant="fused", inverse_mode="precomputed", workers=1,
                u0=None, track_old=False):
     """Allocate the solution, facet scratch and index tables of a run."""
-    if variant not in SWEEPS:
-        raise SmootherError(f"unknown smoother variant {variant!r}")
-    if inverse_mode not in INVERSE_MODES:
-        raise SmootherError(f"unknown inverse mode {inverse_mode!r}")
-    if not 0.0 <= omega <= 1.0:
-        raise SmootherError(f"relaxation weight must be in [0, 1], got {omega}")
-    if workers < 1:
-        raise SmootherError(f"workers must be >= 1, got {workers}")
+    check_settings(omega, variant, inverse_mode, workers)
     if partition is None:
         partition = make_partition(mesh, "balanced", 1)
+    if partition.starts[-1] != mesh.ncells:
+        raise SmootherError(f"partition of {int(partition.starts[-1])} cells "
+                            f"does not match the {mesh.ncells}-cell mesh")
     # the smoother only reads b: a float64 C-contiguous one is not copied
     bdata = np.ascontiguousarray(b.data if isinstance(b, CellField) else b,
                                  dtype=float)
@@ -411,7 +412,6 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
     st._bufs = [(np.empty((rows * 2 * mesh.dim, 2 * blocks.nf)),
                  np.empty((rows, blocks.nloc)), np.empty((rows, blocks.nloc)))
                 for _ in range(min(workers, len(st._blocks())))]
-    st._low_bnd = np.flatnonzero(mesh.cell_side[:, :, 0] == MINUS)
     return st
 
 
@@ -459,12 +459,9 @@ def sweep_stages(state):
     k = 2 * mesh.dim
 
     def block(lo, hi, bufs):
-        fluxes, res, term = bufs
-        # a copy: the face terms negate the low-boundary rows in place
-        fc = fluxes[:(hi - lo) * k]
-        np.copyto(fc, store[lo * k:hi * k])
-        state._update_range(
-            state._block_residual(lo, hi, res[:hi - lo], fc, term), lo)
+        _, res, term = bufs
+        state._update_range(state._block_residual(
+            lo, hi, res[:hi - lo], store[lo * k:hi * k], term), lo)
 
     state._each_block(block)
     state._count(residual=True, update=True)

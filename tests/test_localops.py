@@ -4,7 +4,6 @@ import pytest
 from hpmg import (
     AssemblyError,
     apply_flux,
-    build_coarse_ops,
     build_local_blocks,
     build_hierarchy,
     default_penalty,
@@ -13,7 +12,7 @@ from hpmg import (
     predict_blocks,
 )
 
-from conftest import blocks_for, mesh_at
+from conftest import blocks_for, cspace_at, mesh_at
 from oracles import assemble_global, blocks_global, interbasis_matrix
 
 
@@ -231,14 +230,12 @@ def test_access_model_spot_values():
 
 
 def test_vertex_operator_pieces():
-    ops = build_coarse_ops(2)
-    assert ops.stencil[1, 1] == pytest.approx(8.0 / 3.0)
-    off = np.delete(ops.stencil.reshape(-1), 4)
+    stencil = cspace_at(2).levels[0].stencil
+    assert stencil[1, 1] == pytest.approx(8.0 / 3.0)
+    off = np.delete(stencil.reshape(-1), 4)
     np.testing.assert_allclose(off, np.full(8, -1.0 / 3.0), atol=1e-15)
     # stencil is the element assembly around one interior vertex
-    assert ops.stencil.sum() == pytest.approx(0.0)
-    with pytest.raises(AssemblyError):
-        build_coarse_ops(3)
+    assert stencil.sum() == pytest.approx(0.0)
 
 
 def test_basis_change_conjugates_cell_blocks():

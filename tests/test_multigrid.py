@@ -10,7 +10,6 @@ import pytest
 import hpmg.multigrid
 from hpmg import (
     CellField,
-    CoarseOps,
     MgConfig,
     MgError,
     NonFiniteError,
@@ -248,14 +247,6 @@ def test_jacobi_updates_the_interior_in_place(rng):
     assert cspace.jacobi(0, U, B, 0.6, 2) is U
     np.testing.assert_allclose(U, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
     assert not np.any(U.reshape(-1)[~free_vertices(n)])
-
-
-def test_stencil_without_box_form_is_rejected(monkeypatch):
-    five = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
-    monkeypatch.setattr(hpmg.multigrid, "build_coarse_ops",
-                        lambda dim: CoarseOps(dim=dim, stencil=five))
-    with pytest.raises(MgError, match="box3x3"):
-        build_coarse_space(2, 2)
 
 
 def test_direct_solve_caches_its_sine_basis(rng):
@@ -640,6 +631,17 @@ def test_initial_guess_and_reference_of_the_wrong_shape_raise():
     # a flat reference of the right size is the iterate's layout
     ref = np.zeros(mesh.ncells * blocks.nloc)
     assert solve(mesh, basis, blocks, b, cfg, u_ref=ref).trace.converged
+
+
+def test_coarse_space_of_another_mesh_is_rejected():
+    mesh, basis, blocks = blocks_for("lobatto", 2, 3)
+    b = build_rhs(get_problem("sin_product"), mesh, basis)
+    for level in (2, 4):
+        for coarse in ("exact", "vcycle"):
+            with pytest.raises(MgError, match=f"{3 ** level} cells per "
+                               r"direction does not match the mesh's 27"):
+                solve(mesh, basis, blocks, b, MgConfig(coarse=coarse),
+                      cspace=cspace_at(level))
 
 
 def test_failed_tasked_solve_shuts_its_thread_pool_down(recording_pool):

@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -88,13 +89,28 @@ def test_every_hpmg_name_perfbench_imports_resolves():
                 f"{source} imports {name} from {module}, which lacks it"
 
 
+def _outputs(directory):
+    return {f.name: f.stat().st_mtime_ns for f in directory.glob("*")}
+
+
 @pytest.mark.parametrize("trace", [0, 1])
-def test_benchmark_runs_a_workload_end_to_end(trace):
-    # a short run of the smallest workload, as the benchmark runs it
+def test_benchmark_runs_a_workload_end_to_end(trace, tmp_path):
+    # a short run of the smallest workload, as the benchmark runs it, from
+    # a copy of perfbench/ whose src/ links to this checkout's: run.py
+    # compares resolved paths, so the copy imports this hpmg and writes its
+    # result under tmp_path, not into perfbench/out/
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    for f in PERFBENCH.glob("*.py"):
+        shutil.copy(f, bench / f.name)
+    (tmp_path / "src").symlink_to(PERFBENCH.parent / "src")
+    before = _outputs(PERFBENCH / "out")
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "tasked-p3",
+        [sys.executable, str(bench / "run.py"), "--workload", "tasked-p3",
          "--seconds", "0.5", "--trace", str(trace)],
-        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
+    assert (bench / "out" / f"tasked-p3.trace{trace}.json").is_file()
+    assert _outputs(PERFBENCH / "out") == before

@@ -19,7 +19,7 @@ from hpmg.fields import DER, VAL
 from hpmg.smoother import (BLOCK, _rows_mm, compute_residual_only,
                            sweep_fused)
 
-from conftest import blocks_for, rng  # noqa: F401
+from conftest import blocks_for, mesh_at, rng  # noqa: F401
 from oracles import blocks_global, jacobi_iteration_dense
 
 
@@ -248,8 +248,12 @@ def test_constant_state_produces_zero_interior_value_flux():
     # signed value traces of the two sides cancel in the average
     assert np.max(np.abs(fl[~boundary][:, VAL])) < 1e-14
     assert np.max(np.abs(fl[~boundary][:, DER])) < 1e-12
-    # boundary faces copy the one-sided trace of the constant
-    np.testing.assert_allclose(fl[boundary][:, VAL], 2.5, atol=1e-14)
+    # boundary faces copy the one-sided record of the constant, signed as
+    # every record: -1 on the low face, +1 on the high face
+    for f, sign in ((0, -1.0), (1, 1.0)):
+        on = boundary[:, :, f]
+        np.testing.assert_allclose(fl[:, :, f][on][:, VAL], sign * 2.5,
+                                   atol=1e-14)
 
 
 def test_boundary_flux_is_one_sided_copy():
@@ -313,27 +317,37 @@ def test_rows_mm_rejects_an_output_it_cannot_fill_in_place():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_projection_records_carry_the_facet_signs(p):
-    # the signs folded into the trace matrices, stated from the mesh: the
-    # value carries -sigma (+1 on the minus side of the facet, -1 on the
-    # plus side), the derivative n_F . e_s (-1 only on the low boundary)
+    # every record is its cell's stacked traces: the value signed -1 on the
+    # low face and +1 on the high face, the derivative along +e_s.  On an
+    # interior facet that is the facet convention, stated from the mesh:
+    # the value carries -sigma (+1 on the minus side of the facet, -1 on
+    # the plus side), the derivative n_F . e_s
     mesh, basis, blocks, b, st = _random_setup(p=p, level=2)
     u = np.random.default_rng(p).normal(size=(mesh.ncells, blocks.nloc))
     st.set_solution(u)
     st.project()
     pr = st.proj[0].data
     scale = np.max(np.abs(u))
+    vtol, dtol = 1e-13 * scale, 1e-12 * scale / mesh.h
     for s in range(mesh.dim):
         for f in (0, 1):
+            val = u @ blocks.Tval[s][f].T
+            der = u @ blocks.Tder[s][f].T
+            np.testing.assert_allclose(pr[:, s, f, VAL], (2 * f - 1) * val,
+                                       rtol=0, atol=vtol)
+            np.testing.assert_allclose(pr[:, s, f, DER], der,
+                                       rtol=0, atol=dtol)
+            facets = mesh.cell_facets[:, s, f]
+            inner = ~mesh.facet_boundary[facets]
             sval = np.where(mesh.cell_side[:, s, f] == 0, 1.0, -1.0)[:, None]
-            sder = mesh.facet_orient[mesh.cell_facets[:, s, f]][:, None]
-            np.testing.assert_allclose(pr[:, s, f, VAL],
-                                       sval * (u @ blocks.Tval[s][f].T),
-                                       rtol=0, atol=1e-13 * scale)
-            np.testing.assert_allclose(pr[:, s, f, DER],
-                                       sder * (u @ blocks.Tder[s][f].T),
-                                       rtol=0, atol=1e-12 * scale / mesh.h)
-    # the low boundary is covered: there the cell is the minus side
-    assert (mesh.cell_side[:, :, 0] == 0).any()
+            sder = mesh.facet_orient[facets][:, None]
+            np.testing.assert_allclose(pr[inner, s, f, VAL],
+                                       (sval * val)[inner], rtol=0, atol=vtol)
+            np.testing.assert_allclose(pr[inner, s, f, DER],
+                                       (sder * der)[inner], rtol=0, atol=dtol)
+    # both kinds of face are covered, the low boundary among them
+    assert mesh.facet_boundary.any() and not mesh.facet_boundary.all()
+    assert (mesh.facet_orient == -1).any()
 
 
 def test_projection_range_writes_only_its_rows():
@@ -425,6 +439,13 @@ def test_state_validation():
         make_state(mesh, basis, blocks, b, omega=-0.1)
     with pytest.raises(SmootherError, match="workers"):
         make_state(mesh, basis, blocks, b, workers=0)
+    for workers in (1.5, True):
+        with pytest.raises(SmootherError, match="workers"):
+            make_state(mesh, basis, blocks, b, workers=workers)
+    # a partition built for another mesh
+    with pytest.raises(SmootherError, match="partition of 81 cells"):
+        make_state(mesh, basis, blocks, b,
+                   partition=make_partition(mesh_at(2), "balanced", 4))
     with pytest.raises(SmootherError, match="shape"):
         make_state(mesh, basis, blocks, CellField.zeros(mesh.ncells, 3))
 
