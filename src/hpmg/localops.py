@@ -149,17 +149,14 @@ def _condense(Tval, Tder, f, a_w, a_wp=None):
     return sig * d_int, -1.0 * d_bnd, sig * nb
 
 
-def build_local_blocks(basis, dim, h, theta=-1.0, penalty_const=1.0, gamma=None):
-    """Assemble every block for cells of size h^dim.
-
-    gamma overrides the default (p+1)^2-over-h penalty when given.
-    """
+def build_local_blocks(basis, dim, h, theta=-1.0, penalty_const=1.0):
+    """Assemble every block for cells of size h^dim, with the penalty
+    default_penalty(p, h, penalty_const)."""
     if dim not in (2, 3):
         raise AssemblyError(f"dim must be 2 or 3, got {dim}")
     p = basis.p
     n1 = p + 1
-    if gamma is None:
-        gamma = default_penalty(p, h, penalty_const)
+    gamma = default_penalty(p, h, penalty_const)
     r = ref_matrices(basis, h)
     nloc = n1 ** dim
     nf = n1 ** (dim - 1)
@@ -221,21 +218,22 @@ def build_local_blocks(basis, dim, h, theta=-1.0, penalty_const=1.0, gamma=None)
     )
 
 
-def predict_blocks(unit, h, gamma=None):
+def predict_blocks(unit, h):
     """Rescale blocks assembled at h = 1 to cell size h.
 
     Every block splits into a main part scaling with a fixed power of h and
     a penalty part proportional to gamma * h^(d-1); both parts are recovered
     from the unit-size blocks, so one assembly serves the whole hierarchy.
     The penalty part of a facet term is its condensation with the value
-    coupling -Tval^T Mf alone.  Returns a dict of predicted arrays.
+    coupling -Tval^T Mf alone.  gamma at size h is unit.gamma / h: the
+    penalty scales as 1/h, and unit.gamma carries the unit's penalty_const.
+    Returns a dict of predicted arrays.
     """
     if unit.h != 1.0:
         raise AssemblyError("prediction needs blocks assembled at h = 1")
     d = unit.dim
-    if gamma is None:
-        gamma = default_penalty(unit.p, h)
     g1 = unit.gamma
+    gamma = g1 / h
 
     def split(block, pen_route):
         main = block - g1 * pen_route

@@ -19,7 +19,7 @@ traversal before them wrote, so they run neither the warm-up nor the
 re-projection.  trace.traversals counts this fused schedule; solve()
 itself still runs the restriction, the prolongation, the correction add,
 the norms of the iterate change and the re-projection as separate
-whole-array passes (ROADMAP item 5 fuses them into the block loops).
+whole-array passes between the block loops.
 
 Stopping is either on the residual recorded in the restriction traversal
 (criterion "unprec", no extra work) or on the difference of consecutive
@@ -35,8 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import CellField, exchange_interface, fmt_float
+from .mesh import MAX_LEVEL
 from .smoother import (SWEEPS, SmootherError, check_settings,
-                       compute_residual_only, is_count, make_state)
+                       compute_residual_only, is_count, is_real, make_state)
 
 
 class MgError(RuntimeError):
@@ -63,30 +64,34 @@ _SWEEP_COST = {"vanilla": 1, "stages": 3, "fused": 1, "tasked": 1}
 
 @dataclass
 class MgConfig:
+    """Settings of one multigrid solve; validate() checks them all.
+
+    nu            smoothing sweeps per cycle, an integer >= 1
+    omega         smoother relaxation weight, a real number in [0, 1]
+    eps           stopping tolerance, a real number >= 0
+    max_cycles    cycle cap, an integer >= 1
+    criterion     "prec" (iterate change), "unprec" (residual) or "error"
+    coarse        "exact" (direct vertex solve) or "vcycle" (one V-cycle)
+    variant       smoother variant: "vanilla", "stages", "fused", "tasked"
+    inverse_mode  cell block inverse: "precomputed" or "percell"
+    workers       threads of the block engine, an integer >= 1
+    """
+
     nu: int = 2
     omega: float = 0.9
     eps: float = 1e-7
     max_cycles: int = 200
-    criterion: str = "prec"        # prec | unprec | error
-    coarse: str = "exact"          # exact | vcycle
-    nu_coarse: tuple = (3, 3)
-    omega_coarse: float = 0.6
-    coarse_tol: float = 1e-14
-    coarse_max_cycles: int = 400
+    criterion: str = "prec"
+    coarse: str = "exact"
     variant: str = "fused"
     inverse_mode: str = "precomputed"
     workers: int = 1
 
     def validate(self):
-        for name in ("nu", "max_cycles", "coarse_max_cycles"):
-            if not is_count(getattr(self, name)):
-                raise MgError(f"{name} must be an integer, "
-                              f"got {getattr(self, name)!r}")
-        if not (isinstance(self.nu_coarse, (tuple, list))
-                and len(self.nu_coarse) == 2
-                and all(map(is_count, self.nu_coarse))):
-            raise MgError(f"nu_coarse must be a pair of integer sweep "
-                          f"counts, got {self.nu_coarse!r}")
+        for name in ("nu", "max_cycles"):
+            v = getattr(self, name)
+            if not is_count(v) or v < 1:
+                raise MgError(f"{name} must be an integer >= 1, got {v!r}")
         if self.criterion not in ("prec", "unprec", "error"):
             raise MgError(f"unknown stopping criterion {self.criterion!r}")
         if self.coarse not in ("exact", "vcycle"):
@@ -96,23 +101,9 @@ class MgConfig:
                            self.workers)
         except SmootherError as exc:
             raise MgError(str(exc)) from exc
-        if self.nu < 1:
-            raise MgError("need at least one smoothing sweep per cycle")
-        if not self.eps >= 0.0:     # also rejects NaN
-            raise MgError(f"tolerance eps must be >= 0, got {self.eps}")
-        if min(self.max_cycles, self.coarse_max_cycles) < 1:
-            raise MgError(f"max_cycles and coarse_max_cycles must be >= 1, got "
-                          f"{self.max_cycles} and {self.coarse_max_cycles}")
-        pre, post = self.nu_coarse
-        if min(pre, post) < 0 or pre + post == 0:
-            raise MgError(f"nu_coarse needs non-negative sweep counts and at "
-                          f"least one sweep, got {self.nu_coarse}")
-        # coarse_tol 0 is never met and 1 accepts a zero step; damped Jacobi
-        # on the vertex stencil diverges for omega_coarse >= 4/3
-        if not (0.0 < self.coarse_tol < 1.0
-                and 0.0 < self.omega_coarse < 4.0 / 3.0):
-            raise MgError(f"need 0 < coarse_tol < 1 and 0 < omega_coarse "
-                          f"< 4/3, got {self.coarse_tol}, {self.omega_coarse}")
+        if not (is_real(self.eps) and self.eps >= 0.0):     # also rejects NaN
+            raise MgError(f"tolerance eps must be a real number >= 0, "
+                          f"got {self.eps!r}")
 
 
 @dataclass
@@ -128,7 +119,6 @@ class CoarseSpace:
     """The vertex grids and their kernels: jacobi updates U's interior in
     place, the other kernels return arrays whose ring is zero."""
 
-    dim: int
     levels: list            # finest first, down to the 3x3-cell base
 
     # -- vertex-grid kernels ------------------------------------------------
@@ -194,6 +184,9 @@ class CoarseSpace:
 def build_coarse_space(dim, level):
     if dim != 2:
         raise MgError("vertex-grid hierarchy is implemented for dim == 2")
+    if not is_count(level) or not 1 <= level <= MAX_LEVEL:
+        raise MgError(f"level must be an integer in [1, {MAX_LEVEL}], "
+                      f"got {level!r}")
     # the bilinear stiffness on squares is independent of h in 2D
     stencil = np.full((3, 3), -1.0 / 3.0)
     stencil[1, 1] = 8.0 / 3.0
@@ -208,7 +201,7 @@ def build_coarse_space(dim, level):
             W[q, c] = 1.0 - r / 3.0
             W[q[r > 0], c[r > 0] + 1] = r[r > 0] / 3.0
         levels.append(CoarseLevel(n=n, stencil=stencil, W=W))
-    return CoarseSpace(dim=dim, levels=levels)
+    return CoarseSpace(levels=levels)
 
 
 def h_vcycle(cspace, li, B, nu_pre=3, nu_post=3, omega=0.6):
@@ -227,28 +220,34 @@ def h_vcycle(cspace, li, B, nu_pre=3, nu_post=3, omega=0.6):
     return cspace.jacobi(li, U, B, omega, nu_post)
 
 
+# the exact coarse solve stops at this normwise backward error, and gives
+# up with CoarseSolveError after this many direct steps
+COARSE_TOL = 1e-14
+COARSE_MAX_STEPS = 400
+
+
 def coarse_solve(cspace, B, cfg):
     """Vertex-level solve: a single V-cycle, or ("exact" mode) direct
     solves of the residual until the normwise backward error
-    |R| <= coarse_tol (|A| |U| + |B|) in the max norm (Rigal & Gaches,
-    J. ACM 14, 1967), which unlike |R| <= coarse_tol |B| stays above
+    |R| <= COARSE_TOL (|A| |U| + |B|) in the max norm (Rigal & Gaches,
+    J. ACM 14, 1967), which unlike |R| <= COARSE_TOL |B| stays above
     rounding when |U| >> |B|.  Step one solves B itself; one suffices."""
     if cfg.coarse == "vcycle":
-        return h_vcycle(cspace, 0, B, *cfg.nu_coarse, cfg.omega_coarse)
+        return h_vcycle(cspace, 0, B)
     if not np.all(np.isfinite(B)):
         raise CoarseSolveError("coarse vertex load is not finite")
     b_inf = np.max(np.abs(B))
     a_inf = np.abs(cspace.levels[0].stencil).sum()
     U, R = np.zeros_like(B), B      # R is the residual of U
-    for _ in range(cfg.coarse_max_cycles):
-        tol = cfg.coarse_tol * (a_inf * np.max(np.abs(U)) + b_inf)
+    for _ in range(COARSE_MAX_STEPS):
+        tol = COARSE_TOL * (a_inf * np.max(np.abs(U)) + b_inf)
         if np.max(np.abs(R[1:-1, 1:-1])) <= tol:
             return U
         U += cspace.direct_solve(0, R)
         R = B - cspace.apply_stiffness(0, U)
     raise CoarseSolveError(
         f"coarse vertex solve did not reach a backward error of "
-        f"{cfg.coarse_tol:g} in {cfg.coarse_max_cycles} steps")
+        f"{COARSE_TOL:g} in {COARSE_MAX_STEPS} steps")
 
 
 # -- transfers between the cell system and the vertex grid --------------------
@@ -284,8 +283,6 @@ def coarse_grid_correction(mesh, blocks, cspace, R, cfg):
 class CycleTrace:
     """Per-cycle history of one multigrid run."""
 
-    eps: float
-    criterion: str
     cycles: int = 0
     traversals: int = 0
     converged: bool = False
@@ -362,7 +359,7 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                       f"direction does not match the mesh's {mesh.n}")
     sweep_fn = SWEEPS[cfg.variant]
     sweep_cost = _SWEEP_COST[cfg.variant]
-    trace = CycleTrace(eps=cfg.eps, criterion=cfg.criterion)
+    trace = CycleTrace()
     with make_state(mesh, basis, blocks, b, partition=partition,
                     omega=cfg.omega, variant=cfg.variant,
                     inverse_mode=cfg.inverse_mode, workers=cfg.workers,

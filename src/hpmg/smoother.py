@@ -89,14 +89,20 @@ def is_count(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def is_real(v):
+    """Whether v is a real number of any kind, bool excepted."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def check_settings(omega, variant, inverse_mode, workers):
     """SmootherError unless the smoother settings are valid."""
     if variant not in SWEEPS:
         raise SmootherError(f"unknown smoother variant {variant!r}")
     if inverse_mode not in INVERSE_MODES:
         raise SmootherError(f"unknown inverse mode {inverse_mode!r}")
-    if not 0.0 <= omega <= 1.0:     # also rejects NaN
-        raise SmootherError(f"relaxation weight must be in [0, 1], got {omega}")
+    if not (is_real(omega) and 0.0 <= omega <= 1.0):     # also rejects NaN
+        raise SmootherError(f"relaxation weight must be a real number in "
+                            f"[0, 1], got {omega!r}")
     if not is_count(workers) or workers < 1:
         raise SmootherError(f"workers must be an integer >= 1: {workers!r}")
 

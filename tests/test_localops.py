@@ -99,29 +99,31 @@ def test_corner_interpolation_partition_of_unity():
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("h", [1.0 / 3.0, 1.0 / 9.0])
 def test_prediction_matches_direct_assembly(h, dim):
+    # the predicted penalty follows the unit's penalty_const, not 1
     basis = make_basis("lobatto", 2)
-    unit = build_local_blocks(basis, dim, 1.0)
-    direct = build_local_blocks(basis, dim, h)
-    pred = predict_blocks(unit, h)
 
     def close(a, b):
         scale = max(np.max(np.abs(b)), 1.0)
         assert np.max(np.abs(a - b)) < 1e-12 * scale
 
-    close(pred["Acc"], direct.Acc)
-    close(pred["Mcell"], direct.Mcell)
-    close(pred["Mf"], direct.Mf)
-    close(pred["S"], direct.S)
-    close(pred["P_loc"], direct.P_loc)
-    for s in range(dim):
-        for f in (0, 1):
-            close(pred["Tval"][s][f], direct.Tval[s][f])
-            close(pred["Tder"][s][f], direct.Tder[s][f])
-            close(pred["Acf_w"][s][f], direct.Acf_w[s][f])
-            close(pred["Acf_wp"][s][f], direct.Acf_wp[s][f])
-            close(pred["D_int"][s][f], direct.D_int[s][f])
-            close(pred["D_bnd"][s][f], direct.D_bnd[s][f])
-            close(pred["Nb"][s][f], direct.Nb[s][f])
+    for penalty_const in (1.0, 2.0, 0.5):
+        unit = build_local_blocks(basis, dim, 1.0, penalty_const=penalty_const)
+        direct = build_local_blocks(basis, dim, h, penalty_const=penalty_const)
+        pred = predict_blocks(unit, h)
+        close(pred["Acc"], direct.Acc)
+        close(pred["Mcell"], direct.Mcell)
+        close(pred["Mf"], direct.Mf)
+        close(pred["S"], direct.S)
+        close(pred["P_loc"], direct.P_loc)
+        for s in range(dim):
+            for f in (0, 1):
+                close(pred["Tval"][s][f], direct.Tval[s][f])
+                close(pred["Tder"][s][f], direct.Tder[s][f])
+                close(pred["Acf_w"][s][f], direct.Acf_w[s][f])
+                close(pred["Acf_wp"][s][f], direct.Acf_wp[s][f])
+                close(pred["D_int"][s][f], direct.D_int[s][f])
+                close(pred["D_bnd"][s][f], direct.D_bnd[s][f])
+                close(pred["Nb"][s][f], direct.Nb[s][f])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -153,9 +155,9 @@ def test_zero_penalty_is_rejected():
     # leaving a zero cell block once the penalty is removed
     basis = make_basis("lobatto", 1)
     with pytest.raises(AssemblyError):
-        build_local_blocks(basis, 2, 1.0 / 3.0, theta=-1.0, gamma=0.0)
+        build_local_blocks(basis, 2, 1.0 / 3.0, theta=-1.0, penalty_const=0.0)
     # any positive penalty restores invertibility
-    build_local_blocks(basis, 2, 1.0 / 3.0, theta=-1.0, gamma=1e-9)
+    build_local_blocks(basis, 2, 1.0 / 3.0, theta=-1.0, penalty_const=1e-9)
 
 
 def test_true_diagonal_accounts_for_boundary_faces():

@@ -24,6 +24,7 @@ from hpmg import (
     norm,
     solve,
 )
+from hpmg.mesh import MAX_LEVEL
 from hpmg.multigrid import (
     CoarseSolveError,
     coarse_grid_correction,
@@ -317,17 +318,16 @@ def test_exact_mode_runs_no_vcycle(monkeypatch):
 
 def test_exact_coarse_solve_of_smooth_load_meets_backward_error():
     # two V-cycles leave a backward error of about 3e-6 here; one direct
-    # step reaches coarse_tol
+    # step reaches COARSE_TOL
     cspace = cspace_at(5)
     n = cspace.levels[0].n
     s = np.sin(np.pi * np.linspace(0.0, 1.0, n + 1))
     B = cspace.apply_stiffness(0, np.outer(s, s))
-    cfg = MgConfig(coarse="exact", coarse_max_cycles=2)
-    U = coarse_solve(cspace, B, cfg)
+    U = coarse_solve(cspace, B, MgConfig(coarse="exact"))
     R = B - cspace.apply_stiffness(0, U)
     a_inf = np.abs(cspace.levels[0].stencil).sum()
     bound = a_inf * np.max(np.abs(U)) + np.max(np.abs(B))
-    assert np.max(np.abs(R)) <= cfg.coarse_tol * bound
+    assert np.max(np.abs(R)) <= hpmg.multigrid.COARSE_TOL * bound
 
 
 def test_exact_coarse_solve_rejects_non_finite_load(rng):
@@ -552,6 +552,10 @@ def test_config_validation():
         MgConfig(nu=0).validate()
     with pytest.raises(MgError):
         build_coarse_space(3, 2)
+    # a level with no vertex grid, or one past the largest mesh
+    for level in (0, -1, MAX_LEVEL + 1):
+        with pytest.raises(MgError, match="level must be an integer"):
+            build_coarse_space(2, level)
 
 
 def test_trace_history_and_csv(tmp_path):
@@ -584,15 +588,6 @@ def test_trace_history_and_csv(tmp_path):
     {"eps": -1.0},
     {"eps": float("nan")},
     {"max_cycles": 0},
-    {"coarse_max_cycles": 0},
-    {"nu_coarse": (-1, 3)},
-    {"nu_coarse": (3, -1)},
-    {"nu_coarse": (0, 0)},
-    {"coarse_tol": 0.0},
-    {"coarse_tol": 1.0},
-    {"coarse_tol": float("nan")},
-    {"omega_coarse": 0.0},
-    {"omega_coarse": 4.0 / 3.0},
     {"variant": "bogus"},
     {"inverse_mode": "cholesky"},
     {"omega": -0.1},
@@ -601,11 +596,20 @@ def test_trace_history_and_csv(tmp_path):
     {"workers": 0},
     {"nu": 2.5},
     {"max_cycles": 2.5},
-    {"coarse_max_cycles": 2.5},
     {"workers": 1.5},
-    {"nu_coarse": (3,)},
-    {"nu_coarse": 3},
-    {"nu_coarse": (3, 2.5)},
+    {"eps": None},
+    {"eps": "1e-7"},
+    {"eps": True},
+    {"eps": 1e-7j},
+    {"omega": None},
+    {"omega": "0.5"},
+    {"omega": True},
+    {"omega": 0.5j},
+    {"nu": True},
+    {"nu": "2"},
+    {"max_cycles": True},
+    {"max_cycles": None},
+    {"workers": None},
 ])
 def test_config_validation_rejects_out_of_range_values(bad):
     with pytest.raises(MgError):
@@ -613,8 +617,9 @@ def test_config_validation_rejects_out_of_range_values(bad):
 
 
 def test_config_validation_accepts_integer_counts_of_any_kind():
-    # a manifest replays nu_coarse as a JSON list, and numpy integers count
-    MgConfig(nu_coarse=[3, 3], nu=np.int64(2), workers=np.int32(1)).validate()
+    # numpy integers count, as numpy floats are real numbers
+    MgConfig(nu=np.int64(2), workers=np.int32(1), max_cycles=np.uint8(9),
+             omega=np.float32(0.5), eps=np.float64(1e-7)).validate()
 
 
 def test_initial_guess_and_reference_of_the_wrong_shape_raise():
@@ -644,14 +649,15 @@ def test_coarse_space_of_another_mesh_is_rejected():
                       cspace=cspace_at(level))
 
 
-def test_failed_tasked_solve_shuts_its_thread_pool_down(recording_pool):
-    # with coarse_max_cycles=1 the exact coarse solve takes one direct step
-    # but never checks it, so it raises after the tasked smoother has
-    # started its workers (L4 has three blocks, so the pool runs)
+def test_failed_tasked_solve_shuts_its_thread_pool_down(recording_pool,
+                                                        monkeypatch):
+    # capped at one step, the exact coarse solve takes one direct step but
+    # never checks it, so it raises after the tasked smoother has started
+    # its workers (L4 has three blocks, so the pool runs)
+    monkeypatch.setattr(hpmg.multigrid, "COARSE_MAX_STEPS", 1)
     mesh, basis, blocks = blocks_for("lobatto", 1, 4)
     b = build_rhs(get_problem("two_peak"), mesh, basis)
-    cfg = MgConfig(variant="tasked", workers=2, coarse="exact",
-                   coarse_max_cycles=1)
+    cfg = MgConfig(variant="tasked", workers=2, coarse="exact")
     before = set(threading.enumerate())
     with pytest.raises(CoarseSolveError):
         solve(mesh, basis, blocks, b, cfg)

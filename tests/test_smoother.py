@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from hpmg import (
     CellField,
@@ -15,7 +17,7 @@ from hpmg import (
     norm,
     sweep,
 )
-from hpmg.fields import DER, VAL
+from hpmg.fields import DER, VAL, exchange_interface
 from hpmg.smoother import (BLOCK, _rows_mm, compute_residual_only,
                            sweep_fused)
 
@@ -108,6 +110,33 @@ def test_partition_and_worker_invariance():
         runs.append(_run(st, 6))
     for other in runs[1:]:
         np.testing.assert_array_equal(other, runs[0])
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(cut=hs.one_of(
+    hs.tuples(hs.just("balanced"), hs.integers(1, 81)),
+    # halving 81 cells leaves at most 8 non-empty parts
+    hs.tuples(hs.just("geometric"), hs.integers(1, 8))))
+@example(cut=("balanced", 81))      # every cell its own part
+def test_sweeps_and_residual_are_bitwise_across_partitions(variant, cut):
+    mesh, basis, blocks, b, _ = _random_setup(level=2)
+
+    def three_sweeps_and_residual(part):
+        with make_state(mesh, basis, blocks, b, partition=part,
+                        variant=variant, omega=0.9) as state:
+            if state.sweep_reads_traces:
+                state.warm_up()
+            for _ in range(3):
+                sweep(state)
+            r = compute_residual_only(state)
+            exchange_interface(state.project(), part)
+        return state.u.data, r.data
+
+    want = three_sweeps_and_residual(make_partition(mesh, "balanced", 1))
+    got = three_sweeps_and_residual(make_partition(mesh, *cut))
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("level, p", [(4, 2), (5, 1)])
@@ -437,6 +466,8 @@ def test_state_validation():
         make_state(mesh, basis, blocks, b, omega=1.5)
     with pytest.raises(SmootherError, match="relaxation weight"):
         make_state(mesh, basis, blocks, b, omega=-0.1)
+    with pytest.raises(SmootherError, match="relaxation weight"):
+        make_state(mesh, basis, blocks, b, omega="0.5")
     with pytest.raises(SmootherError, match="workers"):
         make_state(mesh, basis, blocks, b, workers=0)
     for workers in (1.5, True):
