@@ -15,6 +15,7 @@ form a block's fluxes into a reused buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,28 @@ def norm(x, kind="l2"):
     if kind == "linf":
         return float(np.max(np.abs(data))) if data.size else 0.0
     raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def norm_parts(x):
+    """(sum of squares, max |x|) of one block of data, the partial norms
+    combine_norms adds up; max |x| without an |x| temporary."""
+    flat = x.reshape(-1)
+    return np.dot(flat, flat), max(flat.max(), -flat.min())
+
+
+def combine_norms(parts):
+    """(l2, linf) norms from per-block norm_parts keyed by the blocks'
+    first rows, added one by one in block order, so the result does not
+    depend on the order the blocks ran in.  For one block, the bits of
+    np.linalg.norm and np.max(np.abs(x)) (both square roots are correctly
+    rounded); a NaN maximum wins, and the outer abs keeps the bits for
+    all-zero data and NaN."""
+    order = sorted(parts)
+    sq = parts[order[0]][0]
+    for lo in order[1:]:
+        sq += parts[lo][0]
+    top = max((parts[lo][1] for lo in order), key=lambda m: (m != m, m))
+    return math.sqrt(sq), abs(float(top))
 
 
 @dataclass

@@ -16,10 +16,15 @@ that adds the correction and, when another cycle follows, re-projects the
 updated cells for its smoothing.  A run of n cycles touches the mesh
 n*(nu+2)+1 times.  The vanilla and stages sweeps read no traces a
 traversal before them wrote, so they run neither the warm-up nor the
-re-projection.  trace.traversals counts this fused schedule; solve()
-itself still runs the restriction, the prolongation, the correction add,
-the norms of the iterate change and the re-projection as separate
-whole-array passes between the block loops.
+re-projection.  trace.traversals counts this fused schedule.  solve()
+runs the tail block by block on the smoother's block engine: the
+residual traversal keeps each block's residual in a block buffer and
+writes its rows of the vertex contributions R P_loc and its partial
+norms; the prolongation traversal forms each block's correction rows,
+adds them and forms the change of the iterate and its partial norms.
+Partial norms combine in block order.  Only the vertex load (one
+bincount over the contributions) and the re-projection, one projection
+traversal after the convergence test, run over the whole mesh.
 
 Stopping is either on the residual recorded in the restriction traversal
 (criterion "unprec", no extra work) or on the difference of consecutive
@@ -34,9 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import CellField, exchange_interface, fmt_float
+from .fields import (CellField, combine_norms, exchange_interface,
+                     fmt_float, norm_parts)
 from .mesh import MAX_LEVEL
-from .smoother import (SWEEPS, SmootherError, check_settings,
+from .smoother import (SWEEPS, SmootherError, _rows_mm, check_settings,
                        compute_residual_only, is_count, is_real, make_state)
 
 
@@ -252,29 +258,46 @@ def coarse_solve(cspace, B, cfg):
 
 # -- transfers between the cell system and the vertex grid --------------------
 
-def restrict_to_vertices(mesh, blocks, R):
-    """Accumulate P^T r over cells; Dirichlet vertices are masked out.
+def _restrict_rows(blocks, R, out=None):
+    """R P_loc, each cell's contributions to its 2^dim corner vertices:
+    the restriction kernel, one product per block (see smoother._rows_mm),
+    so a row has the same bits in a block traversal and a whole-array
+    call."""
+    return _rows_mm(R, blocks.P_loc.T, out=out)
 
-    The accumulation runs in global cell order whatever the partition,
-    so the result is bitwise independent of the subdomain layout.
-    """
-    contrib = R @ blocks.P_loc
+
+def _vertex_load(mesh, contrib):
+    """Sum the corner contributions into the vertex grid, in global cell
+    order whatever the partition or block traversal, so the result is
+    bitwise independent of both; Dirichlet vertices are masked out."""
     bV = np.bincount(mesh.cell_vertices.ravel(), weights=contrib.ravel(),
                      minlength=mesh.nvertices)
     bV[mesh.vertex_boundary] = 0.0
     n = mesh.n
     return bV.reshape(n + 1, n + 1)
 
+
+def _prolong_rows(mesh, blocks, E, lo, hi, corner, out=None):
+    """Rows lo..hi of the prolonged vertex function E: the cells' corner
+    values, gathered into corner, times P_loc^T; the prolongation kernel,
+    one product per block like _restrict_rows."""
+    # the vertex ids are in range by construction; mode "raise" would
+    # buffer the output
+    np.take(E.reshape(-1), mesh.cell_vertices[lo:hi], out=corner,
+            mode="clip")
+    return _rows_mm(corner, blocks.P_loc, out=out)
+
+
+def restrict_to_vertices(mesh, blocks, R):
+    """Accumulate P^T r over cells; Dirichlet vertices are masked out."""
+    return _vertex_load(mesh, _restrict_rows(blocks, R))
+
+
 def prolong_from_vertices(mesh, blocks, E):
-    corner = E.reshape(-1)[mesh.cell_vertices]
-    return corner @ blocks.P_loc.T
-
-
-def coarse_grid_correction(mesh, blocks, cspace, R, cfg):
-    """Residual rows -> vertex load -> solve -> prolonged correction rows."""
-    bV = restrict_to_vertices(mesh, blocks, R)
-    eV = coarse_solve(cspace, bV, cfg)
-    return prolong_from_vertices(mesh, blocks, eV), eV
+    """The cell rows of the vertex function E, every cell at once."""
+    n = mesh.ncells
+    return _prolong_rows(mesh, blocks, E, 0, n,
+                         np.empty((n, mesh.cell_vertices.shape[1])))
 
 
 # -- the solver ----------------------------------------------------------------
@@ -334,12 +357,48 @@ class MgResult:
 
 
 def _norms(data):
-    flat = data.reshape(-1)
-    if flat.size == 0:
+    if data.size == 0:
         return 0.0, 0.0
-    # max |x| without an |x| temporary; the outer abs keeps the bits of
-    # np.max(np.abs(flat)) for all-zero data and NaN
-    return float(np.linalg.norm(flat)), abs(float(max(flat.max(), -flat.min())))
+    return combine_norms({0: norm_parts(data)})
+
+
+def _residual_tail(state, contrib):
+    """The residual traversal of a cycle: each block's residual, left in
+    its block buffer, writes its rows of R P_loc into contrib; returns
+    the residual's (l2, linf) norms."""
+    parts = {}
+
+    def visit(lo, hi, R):
+        _restrict_rows(state.blocks, R, out=contrib[lo:hi])
+        parts[lo] = norm_parts(R)
+
+    compute_residual_only(state, visit)
+    return combine_norms(parts)
+
+
+def _prolongation_tail(state, E, snapshot, ref):
+    """The prolongation traversal: each block adds its rows of the
+    prolonged correction E to u, forms the change against the snapshot
+    and then copies u's rows into it, and, given a reference, forms the
+    error.  Returns the (l2, linf) norms of the change and of the error
+    (None without a reference)."""
+    mesh, blocks, u = state.mesh, state.blocks, state.u.data
+    change, error = {}, {}
+
+    def block(lo, hi, bufs):
+        _, rows, _, corner = bufs
+        rows, rows_u = rows[:hi - lo], u[lo:hi]
+        rows_u += _prolong_rows(mesh, blocks, E, lo, hi, corner[:hi - lo],
+                                out=rows)
+        np.subtract(rows_u, snapshot[lo:hi], out=rows)
+        change[lo] = norm_parts(rows)
+        snapshot[lo:hi] = rows_u
+        if ref is not None:
+            np.subtract(rows_u, ref[lo:hi], out=rows)
+            error[lo] = norm_parts(rows)
+
+    state.each_block(block)
+    return combine_norms(change), combine_norms(error) if error else None
 
 
 def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
@@ -376,14 +435,15 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                 trace.converged = True
                 return MgResult(state.u, trace, state.counters)
 
+        # per cell, its contributions to its corners' vertex load
+        contrib = np.empty((mesh.ncells, mesh.cell_vertices.shape[1]))
         if u0 is None or not np.any(state.u.data):
             trace.r0_l2, trace.r0_linf = _norms(state.b.data)
         else:
             state.warm_up()
             trace.traversals += 1
-            r = compute_residual_only(state)
+            trace.r0_l2, trace.r0_linf = _residual_tail(state, contrib)
             trace.traversals += 1
-            trace.r0_l2, trace.r0_linf = _norms(r.data)
         _check_finite(trace.r0_l2, 0)
         if trace.r0_l2 == 0.0:
             trace.converged = True
@@ -399,22 +459,16 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                 sweep_fn(state)
                 trace.traversals += sweep_cost
             trace.traversals += 1 if state.warm else 2
-            r = compute_residual_only(state)
-            r2, ri = _norms(r.data)
+            r2, ri = _residual_tail(state, contrib)
             trace.res_l2.append(r2)
             trace.res_linf.append(ri)
             _check_finite(r2, cycle)
             if cfg.criterion == "unprec" and r2 <= cfg.eps * trace.r0_l2:
                 trace.converged = True
                 break
-            # the prolongation traversal of the correction
-            state.u.data += coarse_grid_correction(mesh, blocks, cspace,
-                                                   r.data, cfg)[0]
+            eV = coarse_solve(cspace, _vertex_load(mesh, contrib), cfg)
+            (d2, di), err = _prolongation_tail(state, eV, snapshot, ref)
             trace.traversals += 1
-            # the change of the iterate, formed in the snapshot buffer
-            np.subtract(state.u.data, snapshot, out=snapshot)
-            d2, di = _norms(snapshot)
-            np.copyto(snapshot, state.u.data)
             trace.prec_l2.append(d2)
             trace.prec_linf.append(di)
             if (cfg.criterion == "prec" and len(trace.prec_l2) >= 2
@@ -422,7 +476,7 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                     and d2 <= cfg.eps * trace.prec_l2[0]):
                 trace.converged = True
             if ref is not None:
-                e2, ei = _norms(state.u.data - ref)
+                e2, ei = err
                 trace.err_l2.append(e2)
                 trace.err_linf.append(ei)
                 if e2 <= cfg.eps * trace.e0_l2:
@@ -432,8 +486,8 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                 state.warm = False
                 break
             if state.sweep_reads_traces:
-                # fused with the prolongation: the re-projection that the
-                # next cycle's smoothing consumes
+                # counted with the prolongation traversal: the
+                # re-projection that the next cycle's smoothing consumes
                 exchange_interface(state.project(), state.partition)
             else:
                 # stale traces no sweep reads: vanilla reads the cells,

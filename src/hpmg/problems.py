@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CellField, norm
+from .fields import CellField, combine_norms, norm_parts
+from .smoother import BLOCK
 
 
 class ProblemError(ValueError):
@@ -97,12 +98,13 @@ def _require_2d(mesh):
         raise ProblemError("manufactured problems are two-dimensional")
 
 
-def cell_nodes(mesh, basis):
-    """Physical tensor-node coordinates, shape (ncells, nloc, dim); the
-    local index runs x-major to match the cell block layout."""
+def cell_nodes(mesh, basis, cells=slice(None)):
+    """Physical tensor-node coordinates of the cells (all by default),
+    shape (ncells, nloc, dim); the local index runs x-major to match the
+    cell block layout."""
     grids = np.meshgrid(*([basis.nodes] * mesh.dim), indexing="ij")
     ref = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    return (mesh.cells[:, None, :] + ref[None, :, :]) * mesh.h
+    return (mesh.cells[cells, None, :] + ref[None, :, :]) * mesh.h
 
 
 def interpolate_exact(problem, mesh, basis):
@@ -127,13 +129,27 @@ def build_rhs(problem, mesh, basis):
 
 def discretisation_error(u, problem, mesh, basis):
     """Relative (l2, linf) dof-vector distance to the nodal interpolant;
-    falls back to absolute norms when the reference is identically zero."""
-    ref = interpolate_exact(problem, mesh, basis)
-    diff = u.data - ref.data
-    d2, di = norm(ref.data, "l2"), norm(ref.data, "linf")
-    if d2 == 0.0:
-        return norm(diff, "l2"), norm(diff, "linf")
-    return norm(diff, "l2") / d2, norm(diff, "linf") / di
+    falls back to absolute norms when the reference is identically zero.
+
+    u is a CellField or an array of shape (ncells, nloc), else
+    ProblemError.  The interpolant and the difference are formed one
+    block of BLOCK cells at a time, and the sums combine in block order.
+    """
+    _require_2d(mesh)
+    data = u.data if isinstance(u, CellField) else np.asarray(u)
+    if data.shape != (mesh.ncells, basis.n ** mesh.dim):
+        raise ProblemError(f"solution of shape {data.shape} does not match "
+                           f"mesh/basis {(mesh.ncells, basis.n ** mesh.dim)}")
+    ref, diff = {}, {}      # per block: norm_parts
+    for lo in range(0, mesh.ncells, BLOCK):
+        xy = cell_nodes(mesh, basis, slice(lo, lo + BLOCK))
+        exact = problem.exact(xy[..., 0], xy[..., 1])
+        ref[lo] = norm_parts(exact)
+        diff[lo] = norm_parts(data[lo:lo + BLOCK] - exact)
+    (r2, ri), (d2, di) = combine_norms(ref), combine_norms(diff)
+    if r2 == 0.0:
+        return d2, di
+    return d2 / r2, di / ri
 
 
 def fit_slope(hs, errors):

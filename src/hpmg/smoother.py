@@ -11,23 +11,29 @@ different data flow:
   fused     a single touch of the cells per iteration, after one warm-up
             projection traversal: one loop over blocks of BLOCK cells
             forms each block's cell-face fluxes, its residual, the update
-            and the re-projection of the updated cells.  Fluxes of
-            iterate k are always formed from iterate k's traces: the loop
-            re-projects into a second trace store, and the two stores swap
-            at the end of the sweep.
+            and the re-projection of the updated cells, in place in the
+            one trace store.  Fluxes of iterate k are always formed from
+            iterate k's traces: before the loop the sweep copies into a
+            halo the records that a block reads across its block boundary
+            (Mesh.opposite_records), which an earlier block or a concurrent
+            task may already have rewritten, and each block takes those
+            rows of its fluxes from the halo.
   tasked    another name for fused, kept for the runs that ask for its
             blocks as tasks (workers > 1).
 
 Every block loop (the fused sweep, the residual and update of the
-stages sweep, the residual traversal) goes through
-SmootherState._each_block.  With one worker, or a mesh of one block,
-that is a plain loop; otherwise the state's thread pool runs one task
-per worker over a contiguous run of blocks, each task with its own block
-buffers.  A block reads only iterate k's stores and writes only its own
-rows of u and of the second trace store, so the tasks are independent
-and the iterate does not depend on the worker count or on the order the
-tasks run in.  The block kernels count nothing; each traversal adds its
-closed-form counts once, on the calling thread.
+stages sweep, the residual traversal, the solver's prolongation) goes
+through SmootherState.each_block.  With one worker, or a mesh of one
+block, that is a plain loop; otherwise the state's thread pool runs one
+task per worker over a contiguous run of blocks, each task with its own
+block buffers.  A block's fluxes use iterate k's traces only: its own
+rows of the store, which no other task writes, and the halo, which no
+task writes (what its gather read across the block boundary is replaced
+from the halo).  It writes only its own rows of u and of the store, so
+the tasks are independent and the iterate does not depend on the worker
+count or on the order the tasks run in.  The block kernels count
+nothing; each traversal adds its closed-form counts once, on the calling
+thread.
 
 The mesh is cut into one grid of blocks of min(BLOCK, ncells) consecutive
 cells: BLOCK = 2187 = 3^7, and every mesh has a power of 3 cells, so a
@@ -50,8 +56,9 @@ The trace store is cell-major (see fields.FacetProjection): a cell range
 writes its signed value and derivative traces on all 2*dim faces with one
 product by the stacked trace matrix, straight into its contiguous block of
 the store.  The fluxes are the only gather: a block's cell-face fluxes are
-one take of the records across its faces (Mesh.opposite_records), averaged
-in place with the block's own contiguous records.  The signs of the
+one take of the records across its faces (Mesh.opposite_records), in the
+fused sweep with the rows across the block boundary replaced from the
+halo, averaged in place with the block's own contiguous records.  The signs of the
 traces and of the face terms are those folded into the signed stacks
 LocalBlocks.traces and LocalBlocks.couplings, the one table of localops,
 with no exception: a boundary facet has one side, its flux is its cell's
@@ -142,9 +149,12 @@ class SweepCounters:
     side or flux) counts (p+1)^(dim-1); the value/derivative pair shares a
     record.  Subdomains share one flux store, so an interface flux is
     computed once, but it is counted once per touching subdomain, as a
-    distributed run would compute it on both sides.  tasks_spawned and
-    tasks_executed count pool tasks, one per worker's run of blocks of a
-    traversal; a traversal run inline counts none.
+    distributed run would compute it on both sides.  The fused sweep's
+    halo copy is not counted: the counters model the logical traffic of
+    the traversals, which memory_access_model predicts, and the halo is
+    an artefact of updating the one trace store in place.  tasks_spawned
+    and tasks_executed count pool tasks, one per worker's run of blocks of
+    a traversal; a traversal run inline counts none.
     """
 
     cell_reads: int = 0
@@ -174,7 +184,11 @@ class SmootherState:
 
     proj holds the trace store of the current iterate, one store shared by
     every subdomain; a subdomain is just its cell range of the partition.
-    The fused sweep re-projects into a second store and swaps the two;
+    The fused sweep re-projects each block into it in place, after copying
+    the records that blocks read across their block boundaries into the
+    halo: _halo_src names those records' rows of the store, and
+    _halo_reads, per block with any, the rows of the block's fluxes they
+    replace and their rows of the halo.  A mesh of one block has no halo.
     flux holds the cell-face flux store of the stages sweep and is empty
     for the other variants.  With workers > 1 the block loops run on a
     thread pool, started by the first traversal of more than one block;
@@ -198,8 +212,11 @@ class SmootherState:
     warm: bool = False
     u_old: CellField = None
     _executor: object = None
-    _next: FacetProjection = None  # the fused sweep's re-projection store
-    _bufs: list = None  # per task: a block's (fluxes, residual, face term)
+    _halo: np.ndarray = None    # copies of the records read across blocks
+    _halo_src: np.ndarray = None  # their rows of the store
+    _halo_reads: dict = None    # block lo -> (its flux rows, halo rows)
+    _bufs: list = None  # per task: a block's (fluxes, residual, face term,
+                        # corner values)
 
     def close(self):
         if self._executor is not None:
@@ -216,7 +233,7 @@ class SmootherState:
     def sweep_reads_traces(self):
         """Whether a sweep consumes the traces the previous traversal
         wrote (fused, tasked); vanilla reads cells, stages projects first."""
-        return self._next is not None
+        return self.variant in ("fused", "tasked")
 
     def set_solution(self, data):
         self.u.data[:] = data
@@ -241,17 +258,17 @@ class SmootherState:
         self._count(project=True)
         return store
 
-    def _project_range(self, lo, hi, store=None):
+    def _project_range(self, lo, hi):
         """Cells lo..hi's signed value and derivative traces on every face:
         one product by the stacked trace matrix, written straight into the
-        rows lo..hi of the cell-major store (the current one by default).
-        lo..hi must be whole blocks of the grid, else SmootherError."""
+        rows lo..hi of the cell-major store.  lo..hi must be whole blocks
+        of the grid, else SmootherError."""
         mesh = self.mesh
         rows = _block(mesh.ncells)
         if lo % rows or hi % rows or not 0 <= lo < hi <= mesh.ncells:
             raise SmootherError(f"cells {lo}..{hi} are not whole blocks of "
                                 f"{rows} cells of the {mesh.ncells}-cell mesh")
-        proj = self.proj[0] if store is None else store
+        proj = self.proj[0]
         _rows_mm(self.u.data[lo:hi], self.blocks.traces,
                  out=proj.data[lo:hi].reshape(hi - lo, -1))
         proj.written[lo:hi] = True
@@ -262,11 +279,12 @@ class SmootherState:
         size = _block(n)
         return [(lo, lo + size) for lo in range(0, n, size)]
 
-    def _each_block(self, fn):
+    def each_block(self, fn):
         """fn(lo, hi, bufs) for every block, bufs being one task's
-        (fluxes, residual, face term) buffers.  With one worker or one
-        block a plain loop; otherwise one pool task per worker over a
-        contiguous run of blocks, each task with its own buffers."""
+        (fluxes, residual, face term, corner values) buffers.  With one
+        worker or one block a plain loop; otherwise one pool task per
+        worker over a contiguous run of blocks, each task with its own
+        buffers."""
         blocks = self._blocks()
         ntasks = min(self.workers, len(blocks))
 
@@ -287,11 +305,12 @@ class SmootherState:
             task.result()
         self.counters.tasks_executed += ntasks
 
-    def _face_fluxes(self, lo, hi, out):
+    def _face_fluxes(self, lo, hi, out, halo=False):
         """The fluxes on every face of cells lo..hi from the current traces,
         one row per record in the store's order, in the first rows of out:
         the record across each face, gathered through
-        Mesh.opposite_records, averaged in place with the cell's own.  A
+        Mesh.opposite_records (with halo, those across the block boundary
+        from the halo instead), averaged in place with the cell's own.  A
         boundary record names itself, and the average of a record with
         itself is that record, bit for bit."""
         k = 2 * self.mesh.dim
@@ -301,6 +320,9 @@ class SmootherState:
         # buffer the output
         np.take(recs, self.mesh.opposite_records[lo * k:hi * k], axis=0,
                 out=out, mode="clip")
+        if halo and lo in self._halo_reads:
+            rows, src = self._halo_reads[lo]
+            out[rows] = self._halo[src]
         return apply_flux(out, recs[lo * k:hi * k], out=out)
 
     def _count(self, project=False, residual=False, update=False):
@@ -343,17 +365,22 @@ class SmootherState:
         self._subtract_face_terms(R, fc, term)
         return R
 
-    def _gather_residual(self):
+    def _gather_residual(self, visit=None):
         """b - A u from the current traces; one logical traversal, block
-        by block."""
-        R = np.empty_like(self.u.data)
+        by block.  Returns the residual; with visit, each block's residual
+        stays in its task's buffer instead, visit(lo, hi, R) is called with
+        it, and nothing is returned."""
+        R = np.empty_like(self.u.data) if visit is None else None
 
         def block(lo, hi, bufs):
-            fluxes, _, term = bufs
-            self._block_residual(lo, hi, R[lo:hi],
+            fluxes, res, term, _ = bufs
+            out = res[:hi - lo] if R is None else R[lo:hi]
+            self._block_residual(lo, hi, out,
                                  self._face_fluxes(lo, hi, fluxes), term)
+            if visit is not None:
+                visit(lo, hi, out)
 
-        self._each_block(block)
+        self.each_block(block)
         self._count(residual=True)
         return R
 
@@ -366,11 +393,14 @@ class SmootherState:
         return np.linalg.inv(bl.Acc + sum(bl.D_int.reshape(-1, bl.nloc,
                                                            bl.nloc)))
 
-    def _update_range(self, R, lo=0):
-        """u += omega S^-1 r on cells lo.., one product; percell mode
+    def _update_range(self, R, lo=0, term=None):
+        """u += omega S^-1 r on cells lo.., one product, formed in term (a
+        scratch buffer of at least len(R) rows) when given; percell mode
         rebuilds the inverse on every call, so once per block visit."""
-        self.u.data[lo:lo + len(R)] += self.omega * _rows_mm(
-            R, self._cell_inverse())
+        step = _rows_mm(R, self._cell_inverse(),
+                        out=None if term is None else term[:len(R)])
+        step *= self.omega
+        self.u.data[lo:lo + len(R)] += step
 
     def _backup_old(self):
         if self.u_old is None:
@@ -410,15 +440,34 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
         track_old=track_old,
     )
     st.proj = [FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)]
-    if variant in ("fused", "tasked"):
-        st._next = FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)
+    if st.sweep_reads_traces:
+        _build_halo(st)
     if variant == "stages":
         st.flux = [FacetFlux.zeros(mesh.ncells, mesh.dim, blocks.nf)]
     rows = _block(mesh.ncells)
     st._bufs = [(np.empty((rows * 2 * mesh.dim, 2 * blocks.nf)),
-                 np.empty((rows, blocks.nloc)), np.empty((rows, blocks.nloc)))
+                 np.empty((rows, blocks.nloc)), np.empty((rows, blocks.nloc)),
+                 np.empty((rows, 2 ** mesh.dim)))
                 for _ in range(min(workers, len(st._blocks())))]
     return st
+
+
+def _build_halo(st):
+    """The fused sweep's halo tables: every record whose opposite record
+    lies in another block (an interior facet across a block boundary;
+    boundary records name themselves), in store order, so each block's
+    reads are one contiguous run of the halo."""
+    k = 2 * st.mesh.dim
+    opposite = st.mesh.opposite_records
+    size = _block(st.mesh.ncells) * k
+    rows = np.flatnonzero(opposite // size != np.arange(opposite.size) // size)
+    st._halo_src = opposite[rows]
+    st._halo = np.empty((rows.size, 2 * st.blocks.nf))
+    st._halo_reads = {}
+    for lo, hi in st._blocks():
+        a, b = np.searchsorted(rows, (lo * k, hi * k))
+        if b > a:
+            st._halo_reads[lo] = (rows[a:b] - lo * k, slice(a, b))
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -465,11 +514,11 @@ def sweep_stages(state):
     k = 2 * mesh.dim
 
     def block(lo, hi, bufs):
-        _, res, term = bufs
+        _, res, term, _ = bufs
         state._update_range(state._block_residual(
-            lo, hi, res[:hi - lo], store[lo * k:hi * k], term), lo)
+            lo, hi, res[:hi - lo], store[lo * k:hi * k], term), lo, term)
 
-    state._each_block(block)
+    state.each_block(block)
     state._count(residual=True, update=True)
     state.counters.sweeps += 1
     state.warm = False
@@ -482,27 +531,31 @@ def sweep_fused(state):
 
     Block by block: the block's cell-face fluxes from iterate k's traces,
     b - A u, the update and the re-projection of the updated cells into
-    the second trace store, so no block reads a trace a block before it
-    rewrote.  The stores swap at the end of the sweep.
+    their rows of the store.  A block's own records are still iterate k's
+    when it reads them; the records it reads across its block boundary,
+    which another block may already have rewritten, come from the halo,
+    copied from the store before the loop.
     """
     if not state.warm:
         raise SmootherError("fused sweep requires warm_up() first")
     if state.track_old:
         state._backup_old()
-    nxt = state._next
-    nxt.written[:] = False
+    store = state.proj[0]
+    np.take(store.records(), state._halo_src, axis=0, out=state._halo,
+            mode="clip")
+    store.written[:] = False
 
     def block(lo, hi, bufs):
-        fluxes, res, term = bufs
-        R = state._block_residual(lo, hi, res[:hi - lo],
-                                  state._face_fluxes(lo, hi, fluxes), term)
-        state._update_range(R, lo)
-        state._project_range(lo, hi, nxt)
+        fluxes, res, term, _ = bufs
+        R = state._block_residual(
+            lo, hi, res[:hi - lo],
+            state._face_fluxes(lo, hi, fluxes, halo=True), term)
+        state._update_range(R, lo, term)
+        state._project_range(lo, hi)
 
-    state._each_block(block)
+    state.each_block(block)
     state._count(project=True, residual=True, update=True)
-    state.proj[0], state._next = nxt, state.proj[0]
-    exchange_interface(state.proj[0], state.partition)
+    exchange_interface(store, state.partition)
     state.counters.sweeps += 1
     return state
 
@@ -519,26 +572,39 @@ def sweep(state):
     return SWEEPS[state.variant](state)
 
 
-def compute_residual_only(state):
+def compute_residual_only(state, visit=None):
     """b - A u as one traversal, leaving u and the projections untouched.
 
     Warm states reuse their projections; cold states (vanilla/stages or a
-    freshly set solution) get a projection pass first.
+    freshly set solution) get a projection pass first.  Returns the
+    residual as a CellField; with visit, each block's residual stays in a
+    block buffer and visit(lo, hi, R) receives it while its rows are in
+    cache (on a pool thread when the state has one), and None is returned.
     """
     if not state.warm:
         exchange_interface(state.project(), state.partition)
         state.counters.cell_reads += state.mesh.ncells * state.blocks.nloc
         state.warm = True
-    return CellField(state._gather_residual())
+    R = state._gather_residual(visit)
+    return None if R is None else CellField(R)
 
 
 def apply_operator(mesh, basis, blocks, U, partition=None):
-    """Matrix-free A u through the projection/flux/residual pipeline."""
-    data = U.data if isinstance(U, CellField) else np.asarray(U)
-    zero = CellField.zeros(mesh.ncells, blocks.nloc)
-    # never swept: the variant without sweep stores
-    st = make_state(mesh, basis, blocks, zero, partition=partition,
-                    variant="vanilla")
-    st.u.data[:] = data
+    """Matrix-free A u through the projection/flux/residual pipeline.
+
+    U is read in place when it is a C-contiguous float64 array (else a
+    float copy); SmootherError unless it is (ncells, nloc).
+    """
+    data = np.ascontiguousarray(U.data if isinstance(U, CellField) else U,
+                                dtype=float)
+    if data.shape != (mesh.ncells, blocks.nloc):
+        raise SmootherError(f"operand of shape {data.shape} does not match "
+                            f"mesh/basis {(mesh.ncells, blocks.nloc)}")
+    # A u = -(b - A u) with b = 0, which is only read, so its pages are
+    # never written; never swept: the variant without sweep stores
+    st = make_state(mesh, basis, blocks, np.zeros_like(data),
+                    partition=partition, variant="vanilla")
+    st.u = CellField(data)
     r = compute_residual_only(st)
-    return CellField(-r.data)
+    np.negative(r.data, out=r.data)
+    return r

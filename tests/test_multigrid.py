@@ -27,7 +27,6 @@ from hpmg import (
 from hpmg.mesh import MAX_LEVEL
 from hpmg.multigrid import (
     CoarseSolveError,
-    coarse_grid_correction,
     coarse_solve,
     h_vcycle,
     prolong_from_vertices,
@@ -139,7 +138,8 @@ def test_correction_solves_restricted_system(rng):
     cspace = cspace_at(1)
     cfg = MgConfig(coarse="exact")
     R = rng.normal(size=(mesh.ncells, blocks.nloc))
-    delta, eV = coarse_grid_correction(mesh, blocks, cspace, R, cfg)
+    eV = coarse_solve(cspace, restrict_to_vertices(mesh, blocks, R), cfg)
+    delta = prolong_from_vertices(mesh, blocks, eV)
     Ad = apply_operator(mesh, basis, blocks, CellField(delta))
     r_new = R - Ad.data
     before = restrict_to_vertices(mesh, blocks, R)
@@ -169,8 +169,9 @@ def test_zero_residual_gives_zero_correction():
     cspace = cspace_at(1)
     Z = np.zeros((mesh.ncells, blocks.nloc))
     for mode in ("vcycle", "exact"):
-        delta, eV = coarse_grid_correction(mesh, blocks, cspace, Z,
-                                           MgConfig(coarse=mode))
+        eV = coarse_solve(cspace, restrict_to_vertices(mesh, blocks, Z),
+                          MgConfig(coarse=mode))
+        delta = prolong_from_vertices(mesh, blocks, eV)
         assert np.all(delta == 0.0)
         assert np.all(eV == 0.0)
 
@@ -526,7 +527,7 @@ for cfg, part in ((MgConfig(eps=1e-7), make_partition(mesh, "balanced", 4)),
 
 
 def test_iterates_do_not_depend_on_blas_threads():
-    # at p = 4 the tile products are large enough for OpenBLAS to split
+    # at p = 4 the block products are large enough for OpenBLAS to split
     # them over threads
     src = str(Path(hpmg.__file__).resolve().parents[1])
     hashes = []

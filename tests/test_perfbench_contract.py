@@ -93,12 +93,19 @@ def _outputs(directory):
     return {f.name: f.stat().st_mtime_ns for f in directory.glob("*")}
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_benchmark_runs_a_workload_end_to_end(trace, tmp_path):
-    # a short run of the smallest workload, as the benchmark runs it, from
-    # a copy of perfbench/ whose src/ links to this checkout's: run.py
-    # compares resolved paths, so the copy imports this hpmg and writes its
-    # result under tmp_path, not into perfbench/out/
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param("tasked-p3", 0, id="0"),
+    pytest.param("tasked-p3", 1, id="1"),
+    # the one workload of many blocks on one subdomain: the only one whose
+    # fused counters perfbench checks against the model, and whose fused
+    # halo and per-block solver tail run in the benchmark's own flow
+    pytest.param("coarse-exact-p1", 1, id="coarse-exact-p1-1"),
+])
+def test_benchmark_runs_a_workload_end_to_end(workload, trace, tmp_path):
+    # a short run of a workload, as the benchmark runs it, from a copy of
+    # perfbench/ whose src/ links to this checkout's: run.py compares
+    # resolved paths, so the copy imports this hpmg and writes its result
+    # under tmp_path, not into perfbench/out/
     bench = tmp_path / "perfbench"
     bench.mkdir()
     for f in PERFBENCH.glob("*.py"):
@@ -106,11 +113,11 @@ def test_benchmark_runs_a_workload_end_to_end(trace, tmp_path):
     (tmp_path / "src").symlink_to(PERFBENCH.parent / "src")
     before = _outputs(PERFBENCH / "out")
     proc = subprocess.run(
-        [sys.executable, str(bench / "run.py"), "--workload", "tasked-p3",
+        [sys.executable, str(bench / "run.py"), "--workload", workload,
          "--seconds", "0.5", "--trace", str(trace)],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert (bench / "out" / f"tasked-p3.trace{trace}.json").is_file()
+    assert (bench / "out" / f"{workload}.trace{trace}.json").is_file()
     assert _outputs(PERFBENCH / "out") == before

@@ -142,6 +142,12 @@ def test_discretisation_error_routes():
     e2, ei = discretisation_error(ua, z, mesh, basis)
     assert ei == 2.0
     assert e2 == pytest.approx(2.0 * np.sqrt(ua.data.size))
+    # a solution that is not one row per cell: a single row used to
+    # broadcast over every cell, a flat array to fail inside numpy
+    for bad in (u.data[0], u.data.reshape(-1)):
+        for arg in (bad, CellField(bad)):
+            with pytest.raises(ProblemError, match="shape"):
+                discretisation_error(arg, problem, mesh, basis)
 
 
 def test_fit_slope():

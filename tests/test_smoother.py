@@ -479,6 +479,11 @@ def test_state_validation():
                    partition=make_partition(mesh_at(2), "balanced", 4))
     with pytest.raises(SmootherError, match="shape"):
         make_state(mesh, basis, blocks, CellField.zeros(mesh.ncells, 3))
+    # an operand that is not one row per cell: a single row would
+    # broadcast over every cell
+    for bad in (np.ones(blocks.nloc), np.ones(mesh.ncells * blocks.nloc)):
+        with pytest.raises(SmootherError, match="operand of shape"):
+            apply_operator(mesh, basis, blocks, bad)
 
 
 def test_standalone_smoothing_is_monotone():
