@@ -320,7 +320,6 @@ def run_residual_history(problem="two_peak", p=2, level=3, basis="lobatto",
     with make_state(mesh, bas, blocks, b.copy(), omega=omega_smoother,
                     variant=cfg.variant, inverse_mode=cfg.inverse_mode,
                     workers=cfg.workers, track_old=True) as st:
-        st.warm_up()
         r0 = compute_residual_only(st)
         n0_2 = float(np.linalg.norm(r0.data))
         n0_i = float(np.max(np.abs(r0.data)))
@@ -415,7 +414,6 @@ def run_equivalence_suite(p=3, level=3, problem="two_peak", basis="lobatto",
         with make_state(mesh, bas, blocks, b.copy(), partition=part,
                         omega=omega, variant=variant, inverse_mode=inverse,
                         workers=nworkers) as st:
-            st.warm_up()
             for _ in range(n_iter):
                 sweep(st)
         return st.u.data, st.counters

@@ -10,21 +10,21 @@ with nested bilinear transfers.  Vertex arrays carry a zero Dirichlet
 ring that the kernels read but never write: no masks, no padding.
 
 Traversal accounting with the one-traversal smoother: one warm-up
-projection traversal, then per cycle nu smoothing traversals, one
-residual traversal that also restricts, and one prolongation traversal
-that adds the correction and, when another cycle follows, re-projects the
-updated cells for its smoothing.  A run of n cycles touches the mesh
-n*(nu+2)+1 times.  The vanilla and stages sweeps read no traces a
-traversal before them wrote, so they run neither the warm-up nor the
-re-projection.  trace.traversals counts this fused schedule.  solve()
-runs the tail block by block on the smoother's block engine: the
-residual traversal keeps each block's residual in a block buffer and
-writes its rows of the vertex contributions R P_loc and its partial
-norms; the prolongation traversal forms each block's correction rows,
-adds them and forms the change of the iterate and its partial norms.
-Partial norms combine in block order.  Only the vertex load (one
-bincount over the contributions) and the re-projection, one projection
-traversal after the convergence test, run over the whole mesh.
+projection traversal, run by the first traversal of a cold state, then
+per cycle nu smoothing traversals, one residual traversal that also
+restricts, and one prolongation traversal that adds the correction and
+re-projects the updated cells (a converged solve discards the last
+re-projection).  A run of n cycles touches the mesh n*(nu+2)+1 times.
+The vanilla and stages sweeps read no traces a traversal before them
+wrote, so they run neither the warm-up nor the re-projection.  Each
+traversal counts itself in counters.traversals; solve() only orders them
+on the smoother's block engine: the residual traversal keeps each
+block's residual in a block buffer and writes its rows of the vertex
+contributions R P_loc and its partial norms; the prolongation traversal
+forms each block's correction rows, adds them, and forms the change of
+the iterate and its partial norms.  Partial norms combine in block
+order.  Only the vertex load, one bincount over the contributions, runs
+over the whole mesh.
 
 Stopping is either on the residual recorded in the restriction traversal
 (criterion "unprec", no extra work) or on the difference of consecutive
@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# exchange_interface is not called here; perfbench/tracing.py rebinds it
+# in this module as well as in the smoother
 from .fields import (CellField, combine_norms, exchange_interface,
                      fmt_float, norm_parts)
 from .mesh import MAX_LEVEL
@@ -62,10 +64,6 @@ def _check_finite(norm, cycle):
     if not np.isfinite(norm):
         where = f"cycle {cycle}" if cycle else "the initial guess"
         raise NonFiniteError(f"residual norm of {where} is {norm}")
-
-
-# traversals of the fine mesh per smoother sweep / residual evaluation
-_SWEEP_COST = {"vanilla": 1, "stages": 3, "fused": 1, "tasked": 1}
 
 
 @dataclass
@@ -307,7 +305,6 @@ class CycleTrace:
     """Per-cycle history of one multigrid run."""
 
     cycles: int = 0
-    traversals: int = 0
     converged: bool = False
     r0_l2: float = 0.0
     r0_linf: float = 0.0
@@ -380,7 +377,8 @@ def _prolongation_tail(state, E, snapshot, ref):
     """The prolongation traversal: each block adds its rows of the
     prolonged correction E to u, forms the change against the snapshot
     and then copies u's rows into it, and, given a reference, forms the
-    error.  Returns the (l2, linf) norms of the change and of the error
+    error; the state re-projects the block when its sweep reads traces.
+    Returns the (l2, linf) norms of the change and of the error
     (None without a reference)."""
     mesh, blocks, u = state.mesh, state.blocks, state.u.data
     change, error = {}, {}
@@ -397,7 +395,7 @@ def _prolongation_tail(state, E, snapshot, ref):
             np.subtract(rows_u, ref[lo:hi], out=rows)
             error[lo] = norm_parts(rows)
 
-    state.each_block(block)
+    state.update_blocks(block)
     return combine_norms(change), combine_norms(error) if error else None
 
 
@@ -417,7 +415,6 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
         raise MgError(f"coarse space of {cspace.levels[0].n} cells per "
                       f"direction does not match the mesh's {mesh.n}")
     sweep_fn = SWEEPS[cfg.variant]
-    sweep_cost = _SWEEP_COST[cfg.variant]
     trace = CycleTrace()
     with make_state(mesh, basis, blocks, b, partition=partition,
                     omega=cfg.omega, variant=cfg.variant,
@@ -440,25 +437,17 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
         if u0 is None or not np.any(state.u.data):
             trace.r0_l2, trace.r0_linf = _norms(state.b.data)
         else:
-            state.warm_up()
-            trace.traversals += 1
             trace.r0_l2, trace.r0_linf = _residual_tail(state, contrib)
-            trace.traversals += 1
         _check_finite(trace.r0_l2, 0)
         if trace.r0_l2 == 0.0:
             trace.converged = True
             return MgResult(state.u, trace, state.counters)
-        if state.sweep_reads_traces and not state.warm:
-            state.warm_up()
-            trace.traversals += 1
 
         snapshot = state.u.data.copy()
         for cycle in range(1, cfg.max_cycles + 1):
             trace.cycles = cycle
             for _ in range(cfg.nu):
                 sweep_fn(state)
-                trace.traversals += sweep_cost
-            trace.traversals += 1 if state.warm else 2
             r2, ri = _residual_tail(state, contrib)
             trace.res_l2.append(r2)
             trace.res_linf.append(ri)
@@ -468,7 +457,6 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                 break
             eV = coarse_solve(cspace, _vertex_load(mesh, contrib), cfg)
             (d2, di), err = _prolongation_tail(state, eV, snapshot, ref)
-            trace.traversals += 1
             trace.prec_l2.append(d2)
             trace.prec_linf.append(di)
             if (cfg.criterion == "prec" and len(trace.prec_l2) >= 2
@@ -481,16 +469,6 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
                 trace.err_linf.append(ei)
                 if e2 <= cfg.eps * trace.e0_l2:
                     trace.converged = True
-            if trace.converged or cycle == cfg.max_cycles:
-                # the traces predate the correction; no cycle reads them
-                state.warm = False
+            if trace.converged:
                 break
-            if state.sweep_reads_traces:
-                # counted with the prolongation traversal: the
-                # re-projection that the next cycle's smoothing consumes
-                exchange_interface(state.project(), state.partition)
-            else:
-                # stale traces no sweep reads: vanilla reads the cells,
-                # stages projects first
-                state.warm = False
         return MgResult(state.u, trace, state.counters)

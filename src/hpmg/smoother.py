@@ -8,32 +8,35 @@ different data flow:
   stages    three traversals: project cell data to facets, form every
             cell-face flux into a flux store, then accumulate residuals
             and update block by block from slices of that store.
-  fused     a single touch of the cells per iteration, after one warm-up
-            projection traversal: one loop over blocks of BLOCK cells
-            forms each block's cell-face fluxes, its residual, the update
-            and the re-projection of the updated cells, in place in the
-            one trace store.  Fluxes of iterate k are always formed from
-            iterate k's traces: before the loop the sweep copies into a
-            halo the records that a block reads across its block boundary
-            (Mesh.opposite_records), which an earlier block or a concurrent
-            task may already have rewritten, and each block takes those
-            rows of its fluxes from the halo.
+  fused     a single touch of the cells per iteration: one loop over
+            blocks of BLOCK cells forms each block's cell-face fluxes, its
+            residual, the update and the re-projection of the updated
+            cells, in place in the one trace store; a cold state is
+            warmed up first by a projection traversal.  Fluxes of
+            iterate k are always formed from iterate k's traces: before
+            the loop the sweep copies into a halo the records that a block
+            reads across its block boundary (Mesh.opposite_records), which
+            an earlier block or a concurrent task may already have
+            rewritten, and each block takes those rows of its fluxes from
+            the halo.
   tasked    another name for fused, kept for the runs that ask for its
             blocks as tasks (workers > 1).
 
-Every block loop (the fused sweep, the residual and update of the
-stages sweep, the residual traversal, the solver's prolongation) goes
-through SmootherState.each_block.  With one worker, or a mesh of one
-block, that is a plain loop; otherwise the state's thread pool runs one
-task per worker over a contiguous run of blocks, each task with its own
-block buffers.  A block's fluxes use iterate k's traces only: its own
-rows of the store, which no other task writes, and the halo, which no
-task writes (what its gather read across the block boundary is replaced
-from the halo).  It writes only its own rows of u and of the store, so
-the tasks are independent and the iterate does not depend on the worker
-count or on the order the tasks run in.  The block kernels count
-nothing; each traversal adds its closed-form counts once, on the calling
-thread.
+Every block loop (the fused sweep, the stages sweep's flux pass and its
+residual and update, the residual traversal, the solver's prolongation)
+goes through SmootherState.each_block, those that change u through
+update_blocks, which re-projects their blocks when the sweep reads
+traces.  With one worker, or a mesh of one block, that is a plain loop;
+otherwise the state's thread pool runs one task per worker over a
+contiguous run of blocks, each task with its own block buffers.  A
+block's fluxes use iterate k's traces only: its own rows of the store,
+which no other task writes, and the halo, which no task writes (what its
+gather read across the block boundary is replaced from the halo).  It
+writes only its own rows of u and of the store, so the tasks are
+independent and the iterate does not depend on the worker count or on
+the order the tasks run in.  The block kernels count nothing; each
+traversal adds its closed-form counts, and one to
+SweepCounters.traversals, once, on the calling thread.
 
 The mesh is cut into one grid of blocks of min(BLOCK, ncells) consecutive
 cells: BLOCK = 2187 = 3^7, and every mesh has a power of 3 cells, so a
@@ -154,7 +157,9 @@ class SweepCounters:
     the traversals, which memory_access_model predicts, and the halo is
     an artefact of updating the one trace store in place.  tasks_spawned
     and tasks_executed count pool tasks, one per worker's run of blocks of
-    a traversal; a traversal run inline counts none.
+    a traversal; a traversal run inline counts none.  traversals counts
+    the passes over the mesh: one per project(), per each_block loop and
+    per vanilla sweep; total() leaves it and the task counts out.
     """
 
     cell_reads: int = 0
@@ -164,12 +169,13 @@ class SweepCounters:
     tasks_spawned: int = 0
     tasks_executed: int = 0
     sweeps: int = 0
+    traversals: int = 0
 
     def reset(self):
         self.cell_reads = self.cell_writes = 0
         self.facet_reads = self.facet_writes = 0
         self.tasks_spawned = self.tasks_executed = 0
-        self.sweeps = 0
+        self.sweeps = self.traversals = 0
 
     def volumetric(self):
         return self.cell_reads + self.cell_writes
@@ -236,13 +242,19 @@ class SmootherState:
         return self.variant in ("fused", "tasked")
 
     def set_solution(self, data):
+        """Set the iterate; SmootherError unless data is (ncells, nloc):
+        a row or a scalar would broadcast over every cell."""
+        data = np.asarray(data.data if isinstance(data, CellField) else data)
+        if data.shape != self.u.data.shape:
+            raise SmootherError(f"initial guess of shape {data.shape} does "
+                                f"not match mesh/basis {self.u.data.shape}")
         self.u.data[:] = data
         self.warm = False
 
     # -- traversal stages ---------------------------------------------------
 
     def warm_up(self):
-        """Initial projection traversal."""
+        """Projection traversal, checked by the interface exchange."""
         exchange_interface(self.project(), self.partition)
         self.warm = True
 
@@ -256,6 +268,8 @@ class SmootherState:
         store.written[:] = False
         self._project_range(0, self.mesh.ncells)
         self._count(project=True)
+        self.counters.cell_reads += self.mesh.ncells * self.blocks.nloc
+        self.counters.traversals += 1
         return store
 
     def _project_range(self, lo, hi):
@@ -287,6 +301,7 @@ class SmootherState:
         buffers."""
         blocks = self._blocks()
         ntasks = min(self.workers, len(blocks))
+        self.counters.traversals += 1
 
         def run(i):
             for lo, hi in blocks[i * len(blocks) // ntasks:
@@ -304,6 +319,25 @@ class SmootherState:
         for task in tasks:
             task.result()
         self.counters.tasks_executed += ntasks
+
+    def update_blocks(self, fn):
+        """each_block for a loop that changes u; when the sweep reads
+        traces, each block is re-projected after fn and the state ends
+        warm, else its traces are stale and it ends cold."""
+        reproject = self.sweep_reads_traces
+        if reproject:
+            self.proj[0].written[:] = False
+
+        def block(lo, hi, bufs):
+            fn(lo, hi, bufs)
+            if reproject:
+                self._project_range(lo, hi)
+
+        self.each_block(block)
+        if reproject:
+            self._count(project=True)
+            exchange_interface(self.proj[0], self.partition)
+        self.warm = reproject
 
     def _face_fluxes(self, lo, hi, out, halo=False):
         """The fluxes on every face of cells lo..hi from the current traces,
@@ -427,18 +461,14 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
     if bdata.shape != (mesh.ncells, blocks.nloc):
         raise SmootherError("right-hand side shape does not match mesh/basis")
     u = CellField.zeros(mesh.ncells, blocks.nloc)
-    if u0 is not None:
-        u0 = np.asarray(u0.data if isinstance(u0, CellField) else u0)
-        if u0.shape != u.data.shape:
-            raise SmootherError(f"initial guess of shape {u0.shape} does not "
-                                f"match mesh/basis {u.data.shape}")
-        u.data[:] = u0
     st = SmootherState(
         mesh=mesh, basis=basis, blocks=blocks, partition=partition,
         u=u, b=CellField(bdata), omega=omega,
         variant=variant, inverse_mode=inverse_mode, workers=workers,
         track_old=track_old,
     )
+    if u0 is not None:
+        st.set_solution(u0)
     st.proj = [FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)]
     if st.sweep_reads_traces:
         _build_halo(st)
@@ -496,6 +526,7 @@ def sweep_vanilla(state):
     state._update_range(R)
     state._count(update=True)
     state.counters.sweeps += 1
+    state.counters.traversals += 1
     state.warm = False
     return state
 
@@ -504,30 +535,28 @@ def sweep_stages(state):
     """One iteration as three separate traversals: project, form every
     cell-face flux into the flux store, then residual and update block by
     block from slices of that store."""
-    mesh, bl = state.mesh, state.blocks
-    exchange_interface(state.project(), state.partition)
-    state.counters.cell_reads += mesh.ncells * bl.nloc
+    state.warm_up()
     if state.track_old:
         state._backup_old()
     store = state.flux[0].records()
-    state._face_fluxes(0, mesh.ncells, store)
-    k = 2 * mesh.dim
+    k = 2 * state.mesh.dim
+    state.each_block(lambda lo, hi, _: state._face_fluxes(
+        lo, hi, store[lo * k:hi * k]))
 
     def block(lo, hi, bufs):
         _, res, term, _ = bufs
         state._update_range(state._block_residual(
             lo, hi, res[:hi - lo], store[lo * k:hi * k], term), lo, term)
 
-    state.each_block(block)
+    state.update_blocks(block)
     state._count(residual=True, update=True)
     state.counters.sweeps += 1
-    state.warm = False
     return state
 
 
 def sweep_fused(state):
     """One iteration in a single touch of the cells, consuming the traces
-    the previous traversal wrote.
+    the previous traversal wrote; a cold state is warmed up first.
 
     Block by block: the block's cell-face fluxes from iterate k's traces,
     b - A u, the update and the re-projection of the updated cells into
@@ -537,13 +566,11 @@ def sweep_fused(state):
     copied from the store before the loop.
     """
     if not state.warm:
-        raise SmootherError("fused sweep requires warm_up() first")
+        state.warm_up()
     if state.track_old:
         state._backup_old()
-    store = state.proj[0]
-    np.take(store.records(), state._halo_src, axis=0, out=state._halo,
-            mode="clip")
-    store.written[:] = False
+    np.take(state.proj[0].records(), state._halo_src, axis=0,
+            out=state._halo, mode="clip")
 
     def block(lo, hi, bufs):
         fluxes, res, term, _ = bufs
@@ -551,11 +578,9 @@ def sweep_fused(state):
             lo, hi, res[:hi - lo],
             state._face_fluxes(lo, hi, fluxes, halo=True), term)
         state._update_range(R, lo, term)
-        state._project_range(lo, hi)
 
-    state.each_block(block)
-    state._count(project=True, residual=True, update=True)
-    exchange_interface(store, state.partition)
+    state.update_blocks(block)
+    state._count(residual=True, update=True)
     state.counters.sweeps += 1
     return state
 
@@ -576,15 +601,13 @@ def compute_residual_only(state, visit=None):
     """b - A u as one traversal, leaving u and the projections untouched.
 
     Warm states reuse their projections; cold states (vanilla/stages or a
-    freshly set solution) get a projection pass first.  Returns the
+    freshly set solution) run warm_up() first.  Returns the
     residual as a CellField; with visit, each block's residual stays in a
     block buffer and visit(lo, hi, R) receives it while its rows are in
     cache (on a pool thread when the state has one), and None is returned.
     """
     if not state.warm:
-        exchange_interface(state.project(), state.partition)
-        state.counters.cell_reads += state.mesh.ncells * state.blocks.nloc
-        state.warm = True
+        state.warm_up()
     R = state._gather_residual(visit)
     return None if R is None else CellField(R)
 

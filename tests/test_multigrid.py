@@ -25,6 +25,7 @@ from hpmg import (
     solve,
 )
 from hpmg.mesh import MAX_LEVEL
+from hpmg.smoother import BLOCK
 from hpmg.multigrid import (
     CoarseSolveError,
     coarse_solve,
@@ -353,34 +354,61 @@ def test_solve_matches_dense_solution():
         assert norm(got - want) < 1e-8 * norm(want), criterion
 
 
-def test_traversal_accounting():
-    # a capped run from a cold start costs cycles * (nu + 2) + 1 traversals
-    mesh, basis, blocks = blocks_for("lobatto", 2, 1)
-    b = build_rhs(get_problem("two_peak"), mesh, basis)
-    cfg = MgConfig(eps=0.0, max_cycles=3)
-    res = solve(mesh, basis, blocks, b, cfg)
-    assert not res.trace.converged
-    assert res.trace.cycles == 3
-    assert res.trace.traversals == 3 * (cfg.nu + 2) + 1 == 13
-    # the relation holds for converged prec runs too
-    cfg = MgConfig(criterion="prec", eps=1e-7)
-    res = solve(mesh, basis, blocks, b, cfg)
-    assert res.trace.converged
-    assert res.trace.traversals == res.trace.cycles * (cfg.nu + 2) + 1
+# (cycles, traversals) at L2 p2 on two_peak with eps=1e-6, per
+# (criterion, start): prec, unprec and error, each from zero and from the
+# interpolant.  Per cycle: nu sweeps of 1 traversal (stages 3), a residual
+# traversal (2 when it must project first: vanilla, stages, and a u0
+# start), and a prolongation traversal, which unprec's last cycle skips;
+# fused adds one warm-up, so from zero it runs cycles * (nu + 2) + 1.
+# "error" without a reference is converged at zero and never reaches it
+# from the interpolant, so it runs to the cap of 200.
+_TRAVERSALS = {
+    "vanilla": [(12, 60), (18, 92), (18, 89), (20, 101), (0, 0), (200, 1002)],
+    "stages": [(12, 108), (18, 164), (18, 161), (20, 181), (0, 0),
+               (200, 1802)],
+    "fused": [(12, 49), (18, 74), (18, 72), (20, 81), (0, 0), (200, 802)],
+}
+_TRAVERSALS["tasked"] = _TRAVERSALS["fused"]
+
+
+@pytest.mark.parametrize("start", ["cold", "u0"])
+@pytest.mark.parametrize("criterion", ["prec", "unprec", "error"])
+@pytest.mark.parametrize("variant", ["vanilla", "stages", "fused", "tasked"])
+def test_traversal_accounting(variant, criterion, start):
+    mesh, basis, blocks = blocks_for("lobatto", 2, 2)
+    problem = get_problem("two_peak")
+    b = build_rhs(problem, mesh, basis)
+    u0 = interpolate_exact(problem, mesh, basis) if start == "u0" else None
+    cfg = MgConfig(variant=variant, criterion=criterion, eps=1e-6,
+                   workers=2 if variant == "tasked" else 1)
+    res = solve(mesh, basis, blocks, b, cfg, u0=u0)
+    i = 2 * ["prec", "unprec", "error"].index(criterion) + (start == "u0")
+    assert (res.trace.cycles, res.counters.traversals) == \
+        _TRAVERSALS[variant][i]
 
 
 def test_converged_solve_projects_once_per_cycle(monkeypatch):
-    # the warm-up and the re-projection after every correction but the
-    # last, which no cycle reads
-    mesh, basis, blocks = blocks_for("lobatto", 2, 2)
+    # project() runs once, as the warm-up; after it every traversal that
+    # changes u re-projects its own blocks: each sweep, and the correction
+    # of every cycle, the last one's included
+    mesh, basis, blocks = blocks_for("lobatto", 1, 4)
     b = build_rhs(get_problem("two_peak"), mesh, basis)
-    calls = []
+    calls, ranges = [], []
     project = SmootherState.project
+    project_range = SmootherState._project_range
     monkeypatch.setattr(SmootherState, "project",
                         lambda st: calls.append(1) or project(st))
-    res = solve(mesh, basis, blocks, b, MgConfig(variant="fused", eps=1e-7))
-    assert res.trace.converged
-    assert len(calls) == res.trace.cycles > 1
+    monkeypatch.setattr(SmootherState, "_project_range",
+                        lambda st, lo, hi: ranges.append((lo, hi))
+                        or project_range(st, lo, hi))
+    cfg = MgConfig(variant="fused", eps=1e-7)
+    res = solve(mesh, basis, blocks, b, cfg)
+    assert res.trace.converged and res.trace.cycles > 1
+    assert len(calls) == 1
+    every_block = [(lo, lo + BLOCK) for lo in range(0, mesh.ncells, BLOCK)]
+    assert len(every_block) == 3
+    assert ranges == ([(0, mesh.ncells)]
+                      + every_block * res.trace.cycles * (cfg.nu + 1))
 
 
 @pytest.mark.parametrize("variant", ["vanilla", "stages"])
@@ -406,7 +434,7 @@ def test_zero_rhs_short_circuits():
     res = solve(mesh, basis, blocks, b)
     assert res.trace.converged
     assert res.trace.cycles == 0
-    assert res.trace.traversals == 0
+    assert res.counters.traversals == 0
     assert np.all(res.u.data == 0.0)
 
 

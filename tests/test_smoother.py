@@ -298,14 +298,20 @@ def test_boundary_flux_is_one_sided_copy():
         np.testing.assert_array_equal(fl[cell_face], pr[cell_face])
 
 
-def test_cold_fused_and_tasked_refuse_to_run():
-    *_, st = _random_setup(variant="fused")
-    with pytest.raises(SmootherError, match="warm_up"):
-        sweep_fused(st)
-    *_, st = _random_setup(variant="tasked")
-    with pytest.raises(SmootherError, match="warm_up"):
-        sweep(st)
-    st.close()
+@pytest.mark.parametrize("variant", ["fused", "tasked"])
+def test_cold_fused_sweep_warms_up_first(variant):
+    # a cold sweep is warm_up() and then sweep(), in u and in the counts;
+    # L4 has three blocks, which the tasked state runs on its pool
+    *_, cold = _random_setup(p=1, level=4, variant=variant, workers=2)
+    *_, warm = _random_setup(p=1, level=4, variant=variant, workers=2)
+    with cold, warm:
+        warm.warm_up()
+        for _ in range(2):
+            sweep_fused(cold)
+            sweep_fused(warm)
+    np.testing.assert_array_equal(cold.u.data, warm.u.data)
+    assert cold.counters == warm.counters
+    assert cold.counters.traversals == 3
 
 
 @pytest.mark.parametrize("nloc", [4, 16, 49])
@@ -484,6 +490,14 @@ def test_state_validation():
     for bad in (np.ones(blocks.nloc), np.ones(mesh.ncells * blocks.nloc)):
         with pytest.raises(SmootherError, match="operand of shape"):
             apply_operator(mesh, basis, blocks, bad)
+    # nor an initial guess: a row or a scalar would broadcast too
+    st = make_state(mesh, basis, blocks, b)
+    for bad in (np.ones(blocks.nloc), 2.5,
+                np.ones(mesh.ncells * blocks.nloc)):
+        with pytest.raises(SmootherError, match="initial guess of shape"):
+            make_state(mesh, basis, blocks, b, u0=bad)
+        with pytest.raises(SmootherError, match="initial guess of shape"):
+            st.set_solution(bad)
 
 
 def test_standalone_smoothing_is_monotone():
