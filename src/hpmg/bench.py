@@ -433,7 +433,7 @@ def run_equivalence_suite(p=3, level=3, problem="two_peak", basis="lobatto",
     for variant in variants:
         for inverse in inverse_modes:
             for part in parts.values():
-                for nworkers in (workers if variant == "tasked" else (1,)):
+                for nworkers in workers:
                     u, _ = iterate(variant, inverse, part, nworkers)
                     dev = float(np.max(np.abs(u - base))) / scale
                     bitwise = bool(np.array_equal(u, base))
@@ -578,7 +578,7 @@ def make_parser():
     sp.add_argument("--partition", nargs="+", choices=["balanced", "geometric"],
                     default=["balanced", "geometric"])
     sp.add_argument("--workers", type=int, default=1,
-                    help="the tasked variant runs with 1 and this many workers")
+                    help="every variant runs with 1 and this many workers")
 
     sub.add_parser("model", help="closed-form access counts per cell")
     for sp in sub.choices.values():

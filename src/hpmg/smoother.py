@@ -3,7 +3,7 @@
 Three sweeps, under four variant names, produce identical iterates by
 different data flow:
 
-  vanilla   one traversal reading the 2*dim neighbour cell blocks directly;
+  vanilla   a block loop reading the 2*dim neighbour cell blocks directly;
             the condensed neighbour couplings are applied per facet pair.
   stages    three traversals: project cell data to facets, form every
             cell-face flux into a flux store, then accumulate residuals
@@ -22,21 +22,21 @@ different data flow:
   tasked    another name for fused, kept for the runs that ask for its
             blocks as tasks (workers > 1).
 
-Every block loop (the fused sweep, the stages sweep's flux pass and its
-residual and update, the residual traversal, the solver's prolongation)
-goes through SmootherState.each_block, those that change u through
-update_blocks, which re-projects their blocks when the sweep reads
-traces.  With one worker, or a mesh of one block, that is a plain loop;
-otherwise the state's thread pool runs one task per worker over a
-contiguous run of blocks, each task with its own block buffers.  A
-block's fluxes use iterate k's traces only: its own rows of the store,
-which no other task writes, and the halo, which no task writes (what its
-gather read across the block boundary is replaced from the halo).  It
-writes only its own rows of u and of the store, so the tasks are
-independent and the iterate does not depend on the worker count or on
-the order the tasks run in.  The block kernels count nothing; each
-traversal adds its closed-form counts, and one to
-SweepCounters.traversals, once, on the calling thread.
+Every traversal (the sweeps, the stages sweep's flux pass, projection,
+residual, the solver's prolongation) is a block loop through
+SmootherState.each_block, those that change u through update_blocks,
+which re-projects their blocks when the sweep reads traces.  With one
+worker, or a mesh of one block, that is a plain loop; otherwise the
+state's thread pool runs one task per worker over a contiguous run of
+blocks, each task with its own block buffers.  A block's fluxes use
+iterate k's traces only: its own rows of the store, which no other task
+writes, and the halo, which no task writes (what its gather read across
+the block boundary is replaced from the halo).  It writes only its own
+rows of u and of the store, so the tasks are independent and the iterate
+does not depend on the worker count or on the order the tasks run in.
+The block kernels count nothing; each traversal adds its closed-form
+counts once, on the calling thread, and each_block one to
+SweepCounters.traversals.
 
 The mesh is cut into one grid of blocks of min(BLOCK, ncells) consecutive
 cells: BLOCK = 2187 = 3^7, and every mesh has a power of 3 cells, so a
@@ -46,14 +46,13 @@ bitwise unit.  Every cell-block product goes through _rows_mm, one
 stacked BLAS call over whole blocks.  BLAS rows are not batch-stable, but
 a row computed by a call of the same shape at the same offset in that
 call always has the same bits; so a row's bits depend only on its block,
-and a block traversal, the whole-mesh projection, any subdomain count and
-any worker count produce identical iterates.  _project_range, the only
-method that takes a cell range from its caller, rejects a range that is
-not whole blocks, and _rows_mm one that is longer than a block and not a
-whole number of them.  Vanilla's boundary-cell products are exempt: they
-run on the boundary cells' own array, whose blocks are not the mesh's.
-Vanilla, whose arithmetic differs anyway, agrees with the other sweeps to
-1e-12, not bit for bit.
+and any subdomain count and any worker count produce identical iterates.
+_project_range, the only method that takes a cell range from its caller,
+rejects a range that is not whole blocks, and _rows_mm one that is longer
+than a block and not a whole number of them.  Vanilla's boundary rows of
+a face are one product per block and face, so their bits too depend only
+on the block.  Vanilla, whose arithmetic differs anyway, agrees with the
+other sweeps to 1e-12, not bit for bit.
 
 The trace store is cell-major (see fields.FacetProjection): a cell range
 writes its signed value and derivative traces on all 2*dim faces with one
@@ -61,12 +60,12 @@ product by the stacked trace matrix, straight into its contiguous block of
 the store.  The fluxes are the only gather: a block's cell-face fluxes are
 one take of the records across its faces (Mesh.opposite_records), in the
 fused sweep with the rows across the block boundary replaced from the
-halo, averaged in place with the block's own contiguous records.  The signs of the
-traces and of the face terms are those folded into the signed stacks
-LocalBlocks.traces and LocalBlocks.couplings, the one table of localops,
-with no exception: a boundary facet has one side, its flux is its cell's
-own record, and its face term, a product of two one-sided factors, does
-not depend on which way the boundary normal points.
+halo, averaged in place with the block's own contiguous records.  The
+signs of the traces and of the face terms are those folded into the
+signed stacks LocalBlocks.traces and LocalBlocks.couplings, the one table
+of localops, with no exception: a boundary facet has one side, its flux
+is its cell's own record, and its face term, a product of two one-sided
+factors, does not depend on which way the boundary normal points.
 
 The update uses the interior-cell block inverse everywhere, also next to
 the boundary; the residual keeps the exact one-sided boundary fluxes, so
@@ -158,8 +157,8 @@ class SweepCounters:
     an artefact of updating the one trace store in place.  tasks_spawned
     and tasks_executed count pool tasks, one per worker's run of blocks of
     a traversal; a traversal run inline counts none.  traversals counts
-    the passes over the mesh: one per project(), per each_block loop and
-    per vanilla sweep; total() leaves it and the task counts out.
+    the passes over the mesh, one per each_block loop; total() leaves it
+    and the task counts out.
     """
 
     cell_reads: int = 0
@@ -217,6 +216,7 @@ class SmootherState:
     counters: SweepCounters = field(default_factory=SweepCounters)
     warm: bool = False
     u_old: CellField = None
+    _old: np.ndarray = None     # u_old and a zero row for neighbour id -1
     _executor: object = None
     _halo: np.ndarray = None    # copies of the records read across blocks
     _halo_src: np.ndarray = None  # their rows of the store
@@ -259,17 +259,15 @@ class SmootherState:
         self.warm = True
 
     def project(self):
-        """Projection traversal into the shared store, as one product over
-        all cells, whatever the subdomains: they share the store.  Returns
-        the store for the interface exchange to check.  The written flags
-        are cleared first, so the exchange checks this traversal's sides,
-        not an earlier one's."""
+        """Projection traversal, block by block, into the store that all
+        subdomains share.  Returns the store for the interface exchange to
+        check, its written flags cleared first, so the exchange checks
+        this traversal's sides, not an earlier one's."""
         store = self.proj[0]
         store.written[:] = False
-        self._project_range(0, self.mesh.ncells)
+        self.each_block(lambda lo, hi, _: self._project_range(lo, hi))
         self._count(project=True)
         self.counters.cell_reads += self.mesh.ncells * self.blocks.nloc
-        self.counters.traversals += 1
         return store
 
     def _project_range(self, lo, hi):
@@ -427,20 +425,21 @@ class SmootherState:
         return np.linalg.inv(bl.Acc + sum(bl.D_int.reshape(-1, bl.nloc,
                                                            bl.nloc)))
 
-    def _update_range(self, R, lo=0, term=None):
+    def _update_range(self, R, lo, term):
         """u += omega S^-1 r on cells lo.., one product, formed in term (a
-        scratch buffer of at least len(R) rows) when given; percell mode
-        rebuilds the inverse on every call, so once per block visit."""
-        step = _rows_mm(R, self._cell_inverse(),
-                        out=None if term is None else term[:len(R)])
+        scratch buffer of at least len(R) rows); percell mode rebuilds the
+        inverse on every call, so once per block visit."""
+        step = _rows_mm(R, self._cell_inverse(), out=term[:len(R)])
         step *= self.omega
         self.u.data[lo:lo + len(R)] += step
 
     def _backup_old(self):
-        if self.u_old is None:
-            self.u_old = self.u.copy()
-        else:
-            self.u_old.data[:] = self.u.data
+        """u into the old iterate, kept across sweeps with a zero last row
+        for neighbour id -1 to read; u_old views its first ncells rows."""
+        if self._old is None:
+            self._old = np.zeros((self.mesh.ncells + 1, self.blocks.nloc))
+            self.u_old = CellField(self._old[:-1])
+        self._old[:-1] = self.u.data
         self.counters.cell_reads += self.mesh.ncells * self.blocks.nloc
         self.counters.cell_writes += self.mesh.ncells * self.blocks.nloc
 
@@ -503,31 +502,32 @@ def _build_halo(st):
 # -- sweeps ------------------------------------------------------------------
 
 def sweep_vanilla(state):
-    """One block-Jacobi iteration reading neighbour cells directly.
-
-    The neighbour gather goes through a padded row of zeros so boundary
-    cells issue the same 2*dim block reads as interior ones.
-    """
+    """One block-Jacobi iteration reading neighbour cells directly, block
+    by block from the old iterate; a boundary face's gather reads its zero
+    last row, so boundary cells issue the same 2*dim block reads."""
     mesh, bl = state.mesh, state.blocks
     state._backup_old()
-    U = state.u_old.data    # u itself is updated in place below
-    R = state.b.data - _rows_mm(U, bl.Acc)
-    for s, f in np.ndindex(mesh.dim, 2):
-        bnd = mesh.facet_boundary[mesh.cell_facets[:, s, f]]
-        diag = _rows_mm(U, bl.D_int[s, f])
-        if bnd.any():   # the boundary cells' own grid: see the module doc
-            diag[bnd] = _rows_mm(U[bnd], bl.D_bnd[s, f])
-        R -= diag
-    Upad = np.vstack([U, np.zeros((1, bl.nloc))])
-    for s, f in np.ndindex(mesh.dim, 2):
-        nb = mesh.neighbors[:, s, f]
-        R -= _rows_mm(Upad[np.where(nb < 0, mesh.ncells, nb)], bl.Nb[s, f])
+    U = state._old      # u itself is updated in place below
+
+    def block(lo, hi, bufs):
+        _, R, term, _ = bufs
+        R, term, nb = R[:hi - lo], term[:hi - lo], mesh.neighbors[lo:hi]
+        _rows_mm(U[lo:hi], bl.Acc, out=R)
+        np.subtract(state.b.data[lo:hi], R, out=R)
+        for s, f in np.ndindex(mesh.dim, 2):
+            _rows_mm(U[lo:hi], bl.D_int[s, f], out=term)
+            bnd = np.flatnonzero(nb[:, s, f] < 0)
+            if bnd.size:    # one product per block and face: see module doc
+                term[bnd] = _rows_mm(U[lo + bnd], bl.D_bnd[s, f])
+            R -= term
+        for s, f in np.ndindex(mesh.dim, 2):
+            R -= _rows_mm(U[nb[:, s, f]], bl.Nb[s, f], out=term)
+        state._update_range(R, lo, term)
+
+    state.update_blocks(block)
     state.counters.cell_reads += (2 + 2 * mesh.dim) * mesh.ncells * bl.nloc
-    state._update_range(R)
     state._count(update=True)
     state.counters.sweeps += 1
-    state.counters.traversals += 1
-    state.warm = False
     return state
 
 

@@ -182,8 +182,8 @@ def test_equivalence_suite(tmp_path):
         partitions=("balanced",), variants=("vanilla", "fused", "tasked"),
         inverse_modes=("precomputed",), workers=(1, 2), out=str(tmp_path))
     assert all_ok
-    # vanilla and fused run once per subdomain count, tasked per worker too
-    assert len(rows) == 2 + 2 + 4
+    # every variant runs once per subdomain count and worker count
+    assert len(rows) == 4 + 4 + 4
     for r in rows:
         assert r[6] <= 1e-12
     # the fused baseline runs are bitwise copies of themselves

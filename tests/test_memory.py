@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from hpmg import (FacetProjection, MgConfig, apply_operator, build_rhs,
-                  discretisation_error, get_problem, make_state, solve)
+                  discretisation_error, get_problem, make_state, solve, sweep)
 
 from conftest import blocks_for
 
@@ -32,7 +32,9 @@ def test_whole_mesh_temporaries_stay_within_budget():
     #   returns, the block buffers, the zero b and the state's unused u;
     # - discretisation_error (8.0 -> 3.0): the node coordinates, the
     #   interpolant, the difference and the problem's temporaries of one
-    #   block.
+    #   block;
+    # - a vanilla sweep after the first (5.0 -> 0.34): one block's
+    #   neighbour gather; the old iterate is kept across sweeps.
     mesh, basis, blocks = blocks_for("lobatto", 3, 4)
     problem = get_problem("two_peak")
     b = build_rhs(problem, mesh, basis)
@@ -44,9 +46,13 @@ def test_whole_mesh_temporaries_stay_within_budget():
         lambda: apply_operator(mesh, basis, blocks, res.u))
     _, error_bytes = _traced_peak(
         lambda: discretisation_error(res.u, problem, mesh, basis))
+    st = make_state(mesh, basis, blocks, b, variant="vanilla")
+    sweep(st)
+    _, vanilla_bytes = _traced_peak(lambda: sweep(st))
     assert solve_bytes < 8.0 * field
     assert apply_bytes < 6.5 * field
     assert error_bytes < 5.0 * field
+    assert vanilla_bytes < 1.0 * field
 
 
 @pytest.mark.parametrize("variant", ["fused", "tasked"])

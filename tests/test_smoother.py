@@ -156,6 +156,16 @@ def test_block_traversals_agree_bitwise(level, p):
             three_sweeps(variant="fused", partition=part), want, str(nparts))
     np.testing.assert_array_equal(three_sweeps(variant="tasked", workers=2),
                                   want)
+    # vanilla's arithmetic differs, but it replays itself bit for bit on
+    # any worker count and partition, its blocks run as pool tasks
+    want = three_sweeps(variant="vanilla")
+    pooled = make_state(mesh, basis, blocks, b, omega=0.9, variant="vanilla",
+                        workers=2)
+    np.testing.assert_array_equal(_run(pooled, 3), want)
+    assert pooled.counters.tasks_spawned > 0
+    part = make_partition(mesh, "geometric", 5)
+    np.testing.assert_array_equal(
+        three_sweeps(variant="vanilla", partition=part), want)
 
 
 def test_pooled_sweeps_replay_under_frequent_thread_switches():
@@ -241,14 +251,15 @@ def test_tasked_counters_count_tasks():
         mesh, basis, blocks, b, st = _random_setup(variant="tasked",
                                                    level=level, workers=workers)
         st.warm_up()
-        assert st.counters.tasks_spawned == 0
+        assert st.counters.tasks_spawned == ntasks
         n = 3
         for _ in range(n):
             sweep(st)
         compute_residual_only(st)
         st.close()
-        assert st.counters.tasks_spawned == (n + 1) * ntasks
-        assert st.counters.tasks_executed == (n + 1) * ntasks
+        # the warm-up's projection, n sweeps and the residual
+        assert st.counters.tasks_spawned == (n + 2) * ntasks
+        assert st.counters.tasks_executed == (n + 2) * ntasks
 
 
 @pytest.mark.parametrize("p", [1, 2])
