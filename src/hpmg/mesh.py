@@ -59,7 +59,12 @@ class Mesh:
     """Uniform level-l mesh with curve-ordered cells and indexed facets.
 
     Facet ids are grouped by axis, then ordered lexicographically by
-    (plane index along the axis, cross-axis position).
+    (plane index along the axis, cross-axis position in C order over the
+    other axes).  With nf = (n+1) n^(dim-1) facets per axis, facet id F
+    lies on axis F // nf and plane (F % nf) // n^(dim-1); its orientation
+    n_F . e_axis is -1 on plane 0 and +1 on every other plane.  Cell c's
+    low face along axis s is the facet on plane cells[c, s], its high face
+    the one a plane further.
 
     Per-face trace records are numbered cell-major: cell c's record on
     its face f (0 low, 1 high) along axis s is row (c*dim + s)*2 + f.
@@ -77,17 +82,12 @@ class Mesh:
     h: float
     cells: np.ndarray           # (ncells, dim) multi-index per curve rank
     cell_rank: np.ndarray       # inverse map, shape (n,)*dim
-    facet_axis: np.ndarray      # (nfacets,)
     facet_boundary: np.ndarray  # (nfacets,) bool
-    facet_orient: np.ndarray    # (nfacets,) n_F . e_axis, -1 only on the low boundary
     facet_cells: np.ndarray     # (nfacets, 2) curve ranks of (minus, plus); -1 if absent
-    cell_facets: np.ndarray     # (ncells, dim, 2) facet id at (axis, low/high face)
-    cell_side: np.ndarray       # (ncells, dim, 2) side the cell occupies: 0 minus, 1 plus
     facet_records: np.ndarray   # (nfacets, 2) trace record rows of (minus, plus), see above
     opposite_records: np.ndarray  # (ncells*dim*2,) record across each record's facet
     neighbors: np.ndarray       # (ncells, dim, 2) neighbour rank or -1
-    vertex_coords: np.ndarray   # (nvertices, dim)
-    vertex_boundary: np.ndarray # (nvertices,) bool
+    vertex_boundary: np.ndarray # (nvertices,) bool, vertices C-major over [0, n]^dim
     cell_vertices: np.ndarray   # (ncells, 2**dim), corner order C-major over (lo, hi)
 
     @property
@@ -96,14 +96,11 @@ class Mesh:
 
     @property
     def nfacets(self):
-        return self.facet_axis.shape[0]
+        return self.facet_cells.shape[0]
 
     @property
     def nvertices(self):
-        return self.vertex_coords.shape[0]
-
-    def cell_centers(self):
-        return (self.cells + 0.5) * self.h
+        return self.vertex_boundary.shape[0]
 
     def summary(self):
         n = self.n
@@ -127,77 +124,38 @@ def _build_mesh(dim, level):
     h = 1.0 / n
     cells = peano_order(dim, level)
     ncells = cells.shape[0]
+    rank = np.arange(ncells)
 
     cell_rank = np.empty((n,) * dim, dtype=np.int64)
-    cell_rank[tuple(cells.T)] = np.arange(ncells)
+    cell_rank[tuple(cells.T)] = rank
 
-    nf_axis = (n + 1) * n ** (dim - 1)
-    nfacets = dim * nf_axis
-    facet_axis = np.repeat(np.arange(dim), nf_axis)
-    facet_boundary = np.zeros(nfacets, dtype=bool)
-    facet_orient = np.ones(nfacets, dtype=np.int64)
-    facet_cells = np.full((nfacets, 2), -1, dtype=np.int64)
-
+    # each cell scatters its rank and records onto its two faces per axis:
+    # it is the minus cell of its high face and of a low-boundary face,
+    # and the plus cell of an interior low face
     cross = n ** (dim - 1)
+    nf_axis = (n + 1) * cross
+    facet_cells = np.full((dim * nf_axis, 2), -1, dtype=np.int64)
+    facet_records = np.empty((dim * nf_axis, 2), dtype=np.int64)
+    neighbors = np.empty((ncells, dim, 2), dtype=np.int64)
     for s in range(dim):
-        off = s * nf_axis
-        planes = np.repeat(np.arange(n + 1), cross)
-        facet_boundary[off:off + nf_axis] = (planes == 0) | (planes == n)
-        facet_orient[off:off + nf_axis] = np.where(planes == 0, -1, 1)
-        # cross-axis multi-index in C order over the remaining axes
-        other = [k for k in range(dim) if k != s]
-        grids = np.meshgrid(*(np.arange(n) for _ in other), indexing="ij")
-        cidx = [g.reshape(-1) for g in grids]
-
-        def rank_at(plane_i):
-            full = [None] * dim
-            full[s] = np.full(cross, plane_i, dtype=np.int64)
-            for k, ax in enumerate(other):
-                full[ax] = cidx[k]
-            return cell_rank[tuple(full)]
-
-        for pi in range(n + 1):
-            rows = off + pi * cross + np.arange(cross)
-            if pi == 0:
-                facet_cells[rows, 0] = rank_at(0)        # outward normal -e_s
-            elif pi == n:
-                facet_cells[rows, 0] = rank_at(n - 1)
-            else:
-                facet_cells[rows, 0] = rank_at(pi - 1)
-                facet_cells[rows, 1] = rank_at(pi)
-
-    # per-cell facet ids, sides and neighbours
-    cell_facets = np.empty((ncells, dim, 2), dtype=np.int64)
-    cell_side = np.zeros((ncells, dim, 2), dtype=np.int64)
-    neighbors = np.full((ncells, dim, 2), -1, dtype=np.int64)
-    for s in range(dim):
-        off = s * nf_axis
-        other = [k for k in range(dim) if k != s]
         clin = np.zeros(ncells, dtype=np.int64)
-        for ax in other:
-            clin = clin * n + cells[:, ax]
+        for ax in range(dim):
+            if ax != s:
+                clin = clin * n + cells[:, ax]
         i_s = cells[:, s]
-        cell_facets[:, s, 0] = off + i_s * cross + clin
-        cell_facets[:, s, 1] = off + (i_s + 1) * cross + clin
-        # on its high face a cell is always the minus cell; on its low face
-        # it is the plus cell unless the face lies on the domain boundary
-        cell_side[:, s, 1] = 0
-        cell_side[:, s, 0] = np.where(i_s == 0, 0, 1)
-        lo = cells.copy()
-        lo[:, s] -= 1
-        hi = cells.copy()
-        hi[:, s] += 1
-        has_lo = cells[:, s] > 0
-        has_hi = cells[:, s] < n - 1
-        neighbors[has_lo, s, 0] = cell_rank[tuple(lo[has_lo].T)]
-        neighbors[has_hi, s, 1] = cell_rank[tuple(hi[has_hi].T)]
+        lo = s * nf_axis + i_s * cross + clin
+        side = (i_s > 0).astype(np.int64)
+        rec = (rank * dim + s) * 2
+        facet_cells[lo + cross, 0] = rank
+        facet_records[lo + cross, 0] = rec + 1
+        facet_cells[lo, side] = rank
+        facet_records[lo, side] = rec
+        # the neighbour across a face is its facet's other cell
+        neighbors[:, s, 1] = facet_cells[lo + cross, 1]
+        neighbors[:, s, 0] = np.where(side == 1, facet_cells[lo, 0], -1)
+    facet_boundary = facet_cells[:, 1] < 0
+    facet_records[facet_boundary, 1] = facet_records[facet_boundary, 0]
 
-    # trace record rows of (minus, plus) per facet
-    faces = np.where(facet_orient == -1, 0, 1)
-    facet_records = np.empty((nfacets, 2), dtype=np.int64)
-    facet_records[:, 0] = (facet_cells[:, 0] * dim + facet_axis) * 2 + faces
-    facet_records[:, 1] = np.where(facet_boundary, facet_records[:, 0],
-                                   (facet_cells[:, 1] * dim + facet_axis) * 2)
     # the record across each face: the neighbour's opposite face, or the
     # record itself on the boundary; int32 where the ids fit, which halves
     # a table the sweeps keep in memory next to the trace stores
@@ -208,10 +166,9 @@ def _build_mesh(dim, level):
         np.int32 if nrec <= np.iinfo(np.int32).max else np.int64)
 
     # vertices, C-major over [0, n]^dim
-    vgrids = np.meshgrid(*(np.arange(n + 1) for _ in range(dim)), indexing="ij")
-    vidx = np.stack([g.reshape(-1) for g in vgrids], axis=1)
-    vertex_coords = vidx * h
-    vertex_boundary = ((vidx == 0) | (vidx == n)).any(axis=1)
+    vertex_boundary = np.ones((n + 1,) * dim, dtype=bool)
+    vertex_boundary[(slice(1, n),) * dim] = False
+    vertex_boundary = vertex_boundary.reshape(-1)
 
     strides = np.array([(n + 1) ** (dim - 1 - k) for k in range(dim)], dtype=np.int64)
     corners = np.array(
@@ -222,12 +179,9 @@ def _build_mesh(dim, level):
 
     return Mesh(
         dim=dim, level=level, n=n, h=h, cells=cells, cell_rank=cell_rank,
-        facet_axis=facet_axis, facet_boundary=facet_boundary,
-        facet_orient=facet_orient, facet_cells=facet_cells,
-        cell_facets=cell_facets, cell_side=cell_side,
+        facet_boundary=facet_boundary, facet_cells=facet_cells,
         facet_records=facet_records, opposite_records=opposite_records,
-        neighbors=neighbors,
-        vertex_coords=vertex_coords, vertex_boundary=vertex_boundary,
+        neighbors=neighbors, vertex_boundary=vertex_boundary,
         cell_vertices=cell_vertices,
     )
 
@@ -291,7 +245,7 @@ def make_partition(mesh, mode, nparts):
     starts = np.concatenate(([0], np.cumsum(sizes)))
     part_of_cell = np.repeat(np.arange(nparts), sizes)
 
-    both = np.flatnonzero((mesh.facet_cells >= 0).all(axis=1))
+    both = np.flatnonzero(~mesh.facet_boundary)
     parts = part_of_cell[mesh.facet_cells[both]]   # (minus, plus) owners
     ids = both[parts[:, 0] != parts[:, 1]]
     return Partition(

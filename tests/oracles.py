@@ -6,7 +6,88 @@ and volume quadrature of the penalised weak form, and the block-composed
 variant only trusts the per-cell blocks as published data.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+
+
+def mesh_tables(mesh):
+    """The mesh's index tables rebuilt entity by entity.
+
+    Reads only mesh.cells, mesh.n, mesh.h and the documented facet-id
+    layout: per axis s, (n+1) n^(dim-1) facets ordered by plane along s,
+    then by cross-axis position in C order over the other axes.  A facet's
+    minus cell lies below its plane and its plus cell above; a boundary
+    facet has only a minus cell, with the outward normal.  Returns the
+    mesh's facet_boundary, facet_cells, facet_records, neighbors and
+    opposite_records, plus what the mesh does not store: each facet's
+    axis and orientation n_F . e_axis, each cell face's facet id and the
+    side the cell occupies there (0 minus, 1 plus), and the vertex
+    coordinates, C-major over [0, n]^dim.
+    """
+    dim, n = mesh.dim, mesh.n
+    cells = [tuple(c) for c in mesh.cells.tolist()]
+    rank = {c: k for k, c in enumerate(cells)}
+    cross = n ** (dim - 1)
+    nf = (n + 1) * cross
+    nfacets = dim * nf
+
+    def record(k, s, f):
+        return (k * dim + s) * 2 + f
+
+    facet_axis = np.empty(nfacets, dtype=np.int64)
+    facet_orient = np.empty(nfacets, dtype=np.int64)
+    facet_boundary = np.empty(nfacets, dtype=bool)
+    facet_cells = np.full((nfacets, 2), -1, dtype=np.int64)
+    facet_records = np.full((nfacets, 2), -1, dtype=np.int64)
+    for F in range(nfacets):
+        s, rest = divmod(F, nf)
+        plane, pos = divmod(rest, cross)
+        other = []
+        for _ in range(dim - 1):
+            pos, digit = divmod(pos, n)
+            other.insert(0, digit)
+        below = tuple(other[:s]) + (plane - 1,) + tuple(other[s:])
+        above = tuple(other[:s]) + (plane,) + tuple(other[s:])
+        present = [rank[c] for c in (below, above) if c in rank]
+        facet_axis[F] = s
+        facet_orient[F] = -1 if plane == 0 else 1
+        facet_boundary[F] = len(present) == 1
+        facet_cells[F, :len(present)] = present
+        if facet_boundary[F]:
+            face = 0 if plane == 0 else 1
+            facet_records[F] = record(present[0], s, face)
+        else:
+            facet_records[F] = record(present[0], s, 1), record(present[1], s, 0)
+
+    ncells = len(cells)
+    cell_facets = np.empty((ncells, dim, 2), dtype=np.int64)
+    cell_side = np.empty((ncells, dim, 2), dtype=np.int64)
+    neighbors = np.full((ncells, dim, 2), -1, dtype=np.int64)
+    opposite_records = np.empty(ncells * dim * 2, dtype=np.int64)
+    for k, c in enumerate(cells):
+        for s in range(dim):
+            pos = 0
+            for ax in range(dim):
+                if ax != s:
+                    pos = pos * n + c[ax]
+            for f in (0, 1):
+                F = s * nf + (c[s] + f) * cross + pos
+                cell_facets[k, s, f] = F
+                cell_side[k, s, f] = list(facet_cells[F]).index(k)
+                step = c[:s] + (c[s] + 2 * f - 1,) + c[s + 1:]
+                neighbors[k, s, f] = rank.get(step, -1)
+                pair = list(facet_records[F])
+                own = record(k, s, f)
+                opposite_records[own] = pair[1 - pair.index(own)]
+
+    vertex_coords = np.indices((n + 1,) * dim).reshape(dim, -1).T * mesh.h
+    return SimpleNamespace(
+        facet_axis=facet_axis, facet_orient=facet_orient,
+        facet_boundary=facet_boundary, facet_cells=facet_cells,
+        facet_records=facet_records, cell_facets=cell_facets,
+        cell_side=cell_side, neighbors=neighbors,
+        opposite_records=opposite_records, vertex_coords=vertex_coords)
 
 
 def assemble_global(mesh, basis, theta, gamma):
@@ -67,11 +148,12 @@ def assemble_global(mesh, basis, theta, gamma):
         return V, D
 
     Wf = qw * h
+    t = mesh_tables(mesh)
     for F in range(mesh.nfacets):
-        s = mesh.facet_axis[F]
-        Km, Kp = mesh.facet_cells[F]
-        orient = mesh.facet_orient[F]
-        if mesh.facet_boundary[F]:
+        s = t.facet_axis[F]
+        Km, Kp = t.facet_cells[F]
+        orient = t.facet_orient[F]
+        if t.facet_boundary[F]:
             face = 1 if orient > 0 else 0
             V, D = trace_rows(s, face)
             Dn = orient * D
@@ -100,7 +182,7 @@ def blocks_global(mesh, blocks):
     A = np.zeros((N, N))
     for K in range(mesh.ncells):
         bfaces = [(s, f) for s in range(mesh.dim) for f in (0, 1)
-                  if mesh.facet_boundary[mesh.cell_facets[K, s, f]]]
+                  if mesh.neighbors[K, s, f] < 0]
         sl = slice(K * nloc, (K + 1) * nloc)
         A[sl, sl] = blocks.assemble_true_diagonal(bfaces)
         for s in range(mesh.dim):

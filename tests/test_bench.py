@@ -197,6 +197,22 @@ def test_equivalence_suite(tmp_path):
     assert doc["config"]["n_iter"] == 4
 
 
+def test_equivalence_suite_runs_its_worker_rows_on_the_pool(
+        tmp_path, recording_pool):
+    # L4 has three blocks, so every workers=2 row starts one pool, which
+    # its state shuts down; the workers=1 rows and the counter rows start
+    # none
+    rows, _, all_ok = run_equivalence_suite(
+        p=1, level=4, n_iter=2, subdomains=(1, 2),
+        partitions=("balanced",), variants=("vanilla", "fused", "tasked"),
+        inverse_modes=("precomputed",), workers=(1, 2), out=str(tmp_path))
+    assert all_ok
+    pooled = [r for r in rows if r[5] == 2]
+    assert len(pooled) == 6
+    assert len(recording_pool.started) == len(pooled)
+    assert all(pool.closed for pool in recording_pool.started)
+
+
 def test_equivalence_runs_each_distinct_partition_once(tmp_path):
     # at one subdomain geometric is balanced; at two the splits differ
     rows, _, all_ok = run_equivalence_suite(

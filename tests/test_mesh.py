@@ -4,6 +4,7 @@ import pytest
 from hpmg import MeshError, build_hierarchy, make_partition, peano_order
 
 from conftest import mesh_at
+from oracles import mesh_tables
 
 
 def test_level1_counts():
@@ -71,30 +72,32 @@ def test_hierarchy_order_and_limits():
 def test_interior_facet_orientation():
     # n_F points from the minus to the plus cell
     m = mesh_at(2)
-    centers = m.cell_centers()
+    t = mesh_tables(m)
+    centers = (m.cells + 0.5) * m.h
     interior = ~m.facet_boundary
     cm = m.facet_cells[interior, 0]
     cp = m.facet_cells[interior, 1]
-    ax = m.facet_axis[interior]
+    ax = t.facet_axis[interior]
     gap = centers[cp, ax] - centers[cm, ax]
     assert np.all(gap > 0)
     np.testing.assert_allclose(gap, m.h, atol=1e-15)
-    assert np.all(m.facet_orient[interior] == 1)
+    assert np.all(t.facet_orient[interior] == 1)
     # boundary facets carry only a minus cell and the outward orientation
     bnd = m.facet_boundary
     assert np.all(m.facet_cells[bnd, 0] >= 0)
     assert np.all(m.facet_cells[bnd, 1] == -1)
-    low = m.facet_orient == -1
+    low = t.facet_orient == -1
     assert np.all(m.facet_boundary[low])
 
 
 def test_cell_facets_and_neighbors_agree():
     m = mesh_at(2)
+    t = mesh_tables(m)
     for k in range(m.ncells):
         for s in range(m.dim):
             for side in (0, 1):
-                f = m.cell_facets[k, s, side]
-                assert m.facet_axis[f] == s
+                f = t.cell_facets[k, s, side]
+                assert t.facet_axis[f] == s
                 assert k in m.facet_cells[f]
                 nb = m.neighbors[k, s, side]
                 other = [c for c in m.facet_cells[f] if c not in (k, -1)]
@@ -107,11 +110,12 @@ def test_cell_facets_and_neighbors_agree():
 
 def test_cell_side_matches_facet_record():
     m = mesh_at(1)
+    t = mesh_tables(m)
     for k in range(m.ncells):
         for s in range(m.dim):
             for side in (0, 1):
-                f = m.cell_facets[k, s, side]
-                assert m.facet_cells[f, m.cell_side[k, s, side]] == k
+                f = t.cell_facets[k, s, side]
+                assert m.facet_cells[f, t.cell_side[k, s, side]] == k
 
 
 def test_facet_records_name_the_cells_faces():
@@ -119,12 +123,13 @@ def test_facet_records_name_the_cells_faces():
     # minus record is the minus cell's face on the facet, the plus record
     # the plus cell's; a boundary facet names its minus record twice
     m = mesh_at(2)
+    t = mesh_tables(m)
     for fid in range(m.nfacets):
         for side in (0, 1):
             c, rest = divmod(int(m.facet_records[fid, side]), 2 * m.dim)
             s, f = divmod(rest, 2)
-            assert m.cell_facets[c, s, f] == fid
-            assert m.cell_side[c, s, f] == (0 if m.facet_boundary[fid] else side)
+            assert t.cell_facets[c, s, f] == fid
+            assert t.cell_side[c, s, f] == (0 if m.facet_boundary[fid] else side)
         if m.facet_boundary[fid]:
             assert m.facet_records[fid, 0] == m.facet_records[fid, 1]
 
@@ -135,24 +140,38 @@ def test_opposite_records_pair_each_face_with_the_one_across(dim, level):
     opp = m.opposite_records
     own = np.arange(m.ncells * m.dim * 2)
     assert opp.shape == own.shape
-    boundary = m.facet_boundary[m.cell_facets].reshape(-1)
+    boundary = (m.neighbors < 0).reshape(-1)
     # an involution on interior records, the identity on boundary ones
     np.testing.assert_array_equal(opp[opp[~boundary]], own[~boundary])
     assert (opp[~boundary] != own[~boundary]).all()
     np.testing.assert_array_equal(opp[boundary], own[boundary])
     # every (record, opposite) pair is its facet's (minus, plus) pair
-    pairs = m.facet_records[m.cell_facets.reshape(-1)]
-    side = m.cell_side.reshape(-1)
+    t = mesh_tables(m)
+    pairs = m.facet_records[t.cell_facets.reshape(-1)]
+    side = t.cell_side.reshape(-1)
     np.testing.assert_array_equal(pairs[own, side], own)
     np.testing.assert_array_equal(pairs[own, 1 - side], opp)
 
 
+@pytest.mark.parametrize("dim, level", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_index_tables_match_a_facet_by_facet_build(dim, level):
+    # the vectorised per-axis scatter against a build that visits every
+    # facet and every cell face on its own
+    m = mesh_at(level, dim)
+    t = mesh_tables(m)
+    for name in ("facet_boundary", "facet_cells", "facet_records",
+                 "neighbors", "opposite_records"):
+        np.testing.assert_array_equal(getattr(m, name), getattr(t, name),
+                                      err_msg=name)
+
+
 def test_vertices_and_cell_corners():
     m = mesh_at(1)
+    vertex_coords = mesh_tables(m).vertex_coords
     assert np.count_nonzero(m.vertex_boundary) == 12
     for k in (0, 4, 8):
         lo = m.cells[k] * m.h
-        corners = m.vertex_coords[m.cell_vertices[k]]
+        corners = vertex_coords[m.cell_vertices[k]]
         np.testing.assert_allclose(corners.min(axis=0), lo, atol=1e-15)
         np.testing.assert_allclose(corners.max(axis=0), lo + m.h, atol=1e-15)
 

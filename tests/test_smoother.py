@@ -22,7 +22,7 @@ from hpmg.smoother import (BLOCK, _rows_mm, compute_residual_only,
                            sweep_fused)
 
 from conftest import blocks_for, mesh_at, rng  # noqa: F401
-from oracles import blocks_global, jacobi_iteration_dense
+from oracles import blocks_global, jacobi_iteration_dense, mesh_tables
 
 
 def _random_setup(kind="lobatto", p=2, level=1, seed=3, **kw):
@@ -137,6 +137,21 @@ def test_sweeps_and_residual_are_bitwise_across_partitions(variant, cut):
     got = three_sweeps_and_residual(make_partition(mesh, *cut))
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(kind=hs.sampled_from(["lobatto", "legendre"]), p=hs.integers(1, 3),
+       level=hs.integers(1, 2), alpha=hs.floats(-1e3, 1e3),
+       seed=hs.integers(0, 2**32 - 1))
+def test_apply_operator_is_linear(kind, p, level, alpha, seed):
+    # A(alpha x + y) = alpha A x + A y, to rounding in the size of the terms
+    mesh, basis, blocks = blocks_for(kind, p, level)
+    x, y = np.random.default_rng(seed).normal(size=(2, mesh.ncells, blocks.nloc))
+    Ax = apply_operator(mesh, basis, blocks, x).data
+    Ay = apply_operator(mesh, basis, blocks, y).data
+    got = apply_operator(mesh, basis, blocks, alpha * x + y).data
+    scale = abs(alpha) * np.max(np.abs(Ax)) + np.max(np.abs(Ay))
+    assert np.max(np.abs(got - (alpha * Ax + Ay))) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("level, p", [(4, 2), (5, 1)])
@@ -283,7 +298,7 @@ def test_constant_state_produces_zero_interior_value_flux():
     st.set_solution(np.full((mesh.ncells, blocks.nloc), 2.5))
     sweep(st)
     # the cell-face flux store, one record per (cell, axis, face)
-    boundary = mesh.facet_boundary[mesh.cell_facets]
+    boundary = mesh.neighbors < 0
     fl = st.flux[0].data
     # signed value traces of the two sides cancel in the average
     assert np.max(np.abs(fl[~boundary][:, VAL])) < 1e-14
@@ -302,10 +317,11 @@ def test_boundary_flux_is_one_sided_copy():
         size=(mesh.ncells, blocks.nloc)))
     sweep(st)
     pr, fl = st.proj[0].data, st.flux[0].data
+    t = mesh_tables(mesh)
     for f in np.where(mesh.facet_boundary)[0]:
         # the minus cell's record on its low (outward -e_s) or high face
-        face = 0 if mesh.facet_orient[f] == -1 else 1
-        cell_face = (mesh.facet_cells[f, 0], mesh.facet_axis[f], face)
+        face = 0 if t.facet_orient[f] == -1 else 1
+        cell_face = (mesh.facet_cells[f, 0], t.facet_axis[f], face)
         np.testing.assert_array_equal(fl[cell_face], pr[cell_face])
 
 
@@ -373,6 +389,7 @@ def test_projection_records_carry_the_facet_signs(p):
     st.set_solution(u)
     st.project()
     pr = st.proj[0].data
+    t = mesh_tables(mesh)
     scale = np.max(np.abs(u))
     vtol, dtol = 1e-13 * scale, 1e-12 * scale / mesh.h
     for s in range(mesh.dim):
@@ -383,17 +400,17 @@ def test_projection_records_carry_the_facet_signs(p):
                                        rtol=0, atol=vtol)
             np.testing.assert_allclose(pr[:, s, f, DER], der,
                                        rtol=0, atol=dtol)
-            facets = mesh.cell_facets[:, s, f]
-            inner = ~mesh.facet_boundary[facets]
-            sval = np.where(mesh.cell_side[:, s, f] == 0, 1.0, -1.0)[:, None]
-            sder = mesh.facet_orient[facets][:, None]
+            facets = t.cell_facets[:, s, f]
+            inner = mesh.neighbors[:, s, f] >= 0
+            sval = np.where(t.cell_side[:, s, f] == 0, 1.0, -1.0)[:, None]
+            sder = t.facet_orient[facets][:, None]
             np.testing.assert_allclose(pr[inner, s, f, VAL],
                                        (sval * val)[inner], rtol=0, atol=vtol)
             np.testing.assert_allclose(pr[inner, s, f, DER],
                                        (sder * der)[inner], rtol=0, atol=dtol)
     # both kinds of face are covered, the low boundary among them
     assert mesh.facet_boundary.any() and not mesh.facet_boundary.all()
-    assert (mesh.facet_orient == -1).any()
+    assert (t.facet_orient == -1).any()
 
 
 def test_projection_range_writes_only_its_rows():
