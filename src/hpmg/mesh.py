@@ -11,6 +11,7 @@ exists.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,11 @@ MAX_LEVEL = 6
 
 class MeshError(ValueError):
     pass
+
+
+def is_count(v):
+    """Whether v is an integer of any kind, bool excepted."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def peano_order(dim, level):
@@ -72,8 +78,10 @@ class Mesh:
     minus cell's high face (its low face on the low boundary) and the
     plus cell's low face; a boundary facet repeats its minus record.
     opposite_records names, per record, the other record of its facet's
-    pair: the record across the facet, or the record itself on the
-    boundary.
+    pair: a low face's is its facet's minus record, a high face's its
+    facet's plus record, which on the boundary is the record itself.
+    cell_vertices lists each cell's corner vertex ids: its low corner's
+    id plus the same 2^dim offsets for every cell.
     """
 
     dim: int
@@ -88,7 +96,7 @@ class Mesh:
     opposite_records: np.ndarray  # (ncells*dim*2,) record across each record's facet
     neighbors: np.ndarray       # (ncells, dim, 2) neighbour rank or -1
     vertex_boundary: np.ndarray # (nvertices,) bool, vertices C-major over [0, n]^dim
-    cell_vertices: np.ndarray   # (ncells, 2**dim), corner order C-major over (lo, hi)
+    cell_vertices: np.ndarray   # (ncells, 2**dim), corners C-major over (lo, hi)
 
     @property
     def ncells(self):
@@ -131,12 +139,19 @@ def _build_mesh(dim, level):
 
     # each cell scatters its rank and records onto its two faces per axis:
     # it is the minus cell of its high face and of a low-boundary face,
-    # and the plus cell of an interior low face
+    # and the plus cell of an interior low face; a boundary facet repeats
+    # its minus record, so each face's opposite record is read off its
+    # facet.  opposite_records is int32 where the ids fit, which halves a
+    # table the sweeps keep in memory next to the trace stores.
     cross = n ** (dim - 1)
     nf_axis = (n + 1) * cross
+    nrec = ncells * dim * 2
     facet_cells = np.full((dim * nf_axis, 2), -1, dtype=np.int64)
     facet_records = np.empty((dim * nf_axis, 2), dtype=np.int64)
     neighbors = np.empty((ncells, dim, 2), dtype=np.int64)
+    opposite_records = np.empty(
+        (ncells, dim, 2),
+        dtype=np.int32 if nrec <= np.iinfo(np.int32).max else np.int64)
     for s in range(dim):
         clin = np.zeros(ncells, dtype=np.int64)
         for ax in range(dim):
@@ -144,38 +159,33 @@ def _build_mesh(dim, level):
                 clin = clin * n + cells[:, ax]
         i_s = cells[:, s]
         lo = s * nf_axis + i_s * cross + clin
+        hi = lo + cross
         side = (i_s > 0).astype(np.int64)
         rec = (rank * dim + s) * 2
-        facet_cells[lo + cross, 0] = rank
-        facet_records[lo + cross, 0] = rec + 1
+        facet_cells[hi, 0] = rank
+        facet_records[hi, 0] = rec + 1
         facet_cells[lo, side] = rank
         facet_records[lo, side] = rec
+        planes = facet_records[s * nf_axis:(s + 1) * nf_axis]
+        planes = planes.reshape(n + 1, cross, 2)
+        planes[[0, n], :, 1] = planes[[0, n], :, 0]
         # the neighbour across a face is its facet's other cell
-        neighbors[:, s, 1] = facet_cells[lo + cross, 1]
+        neighbors[:, s, 1] = facet_cells[hi, 1]
         neighbors[:, s, 0] = np.where(side == 1, facet_cells[lo, 0], -1)
+        opposite_records[:, s, 0] = facet_records[lo, 0]
+        opposite_records[:, s, 1] = facet_records[hi, 1]
     facet_boundary = facet_cells[:, 1] < 0
-    facet_records[facet_boundary, 1] = facet_records[facet_boundary, 0]
+    opposite_records = opposite_records.reshape(-1)
 
-    # the record across each face: the neighbour's opposite face, or the
-    # record itself on the boundary; int32 where the ids fit, which halves
-    # a table the sweeps keep in memory next to the trace stores
-    nrec = ncells * dim * 2
-    own = np.arange(nrec).reshape(ncells, dim, 2)
-    across = (neighbors * dim + np.arange(dim)[:, None]) * 2 + [1, 0]
-    opposite_records = np.where(neighbors >= 0, across, own).reshape(-1).astype(
-        np.int32 if nrec <= np.iinfo(np.int32).max else np.int64)
-
-    # vertices, C-major over [0, n]^dim
+    # vertices, C-major over [0, n]^dim; a cell's corners are its low
+    # corner's vertex id plus one offset per corner, C-major over (lo, hi)
     vertex_boundary = np.ones((n + 1,) * dim, dtype=bool)
     vertex_boundary[(slice(1, n),) * dim] = False
     vertex_boundary = vertex_boundary.reshape(-1)
 
-    strides = np.array([(n + 1) ** (dim - 1 - k) for k in range(dim)], dtype=np.int64)
-    corners = np.array(
-        [[(b >> (dim - 1 - k)) & 1 for k in range(dim)] for b in range(2**dim)],
-        dtype=np.int64,
-    )
-    cell_vertices = ((cells[:, None, :] + corners[None, :, :]) * strides).sum(axis=2)
+    strides = (n + 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    corners = np.indices((2,) * dim, dtype=np.int64).reshape(dim, -1)
+    cell_vertices = (cells @ strides)[:, None] + strides @ corners
 
     return Mesh(
         dim=dim, level=level, n=n, h=h, cells=cells, cell_rank=cell_rank,
@@ -188,10 +198,11 @@ def _build_mesh(dim, level):
 
 def build_hierarchy(dim, level):
     """Meshes from the requested level down to level 1, finest first."""
-    if dim not in (2, 3):
-        raise MeshError(f"dim must be 2 or 3, got {dim}")
-    if not 1 <= level <= MAX_LEVEL:
-        raise MeshError(f"level must be in [1, {MAX_LEVEL}], got {level}")
+    if not is_count(dim) or dim not in (2, 3):
+        raise MeshError(f"dim must be the integer 2 or 3, got {dim!r}")
+    if not is_count(level) or not 1 <= level <= MAX_LEVEL:
+        raise MeshError(f"level must be an integer in [1, {MAX_LEVEL}], "
+                        f"got {level!r}")
     return [_build_mesh(dim, l) for l in range(level, 0, -1)]
 
 
@@ -225,8 +236,9 @@ def make_partition(mesh, mode, nparts):
                whatever is left.
     """
     N = mesh.ncells
-    if not 1 <= nparts <= N:
-        raise MeshError(f"nparts must be in [1, {N}], got {nparts}")
+    if not is_count(nparts) or not 1 <= nparts <= N:
+        raise MeshError(f"nparts must be an integer in [1, {N}], "
+                        f"got {nparts!r}")
     if mode == "balanced":
         base, extra = divmod(N, nparts)
         sizes = np.full(nparts, base, dtype=np.int64)
@@ -245,9 +257,12 @@ def make_partition(mesh, mode, nparts):
     starts = np.concatenate(([0], np.cumsum(sizes)))
     part_of_cell = np.repeat(np.arange(nparts), sizes)
 
-    both = np.flatnonzero(~mesh.facet_boundary)
-    parts = part_of_cell[mesh.facet_cells[both]]   # (minus, plus) owners
-    ids = both[parts[:, 0] != parts[:, 1]]
+    if nparts == 1:     # one part has no interface
+        ids = np.empty(0, dtype=np.intp)
+    else:
+        both = np.flatnonzero(~mesh.facet_boundary)
+        parts = part_of_cell[mesh.facet_cells[both]]   # (minus, plus) owners
+        ids = both[parts[:, 0] != parts[:, 1]]
     return Partition(
         mode=mode, nparts=nparts, sizes=sizes, starts=starts,
         part_of_cell=part_of_cell, interface_facets=ids,

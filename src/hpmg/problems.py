@@ -115,16 +115,26 @@ def interpolate_exact(problem, mesh, basis):
 
 
 def build_rhs(problem, mesh, basis):
-    """Load vector b|_K,i = int_K phi_i f, by the basis' tensor rule."""
+    """Load vector b|_K,i = int_K phi_i f, by the basis' tensor rule.
+
+    With the weighted shape values folded into one matrix
+    Q = h^2 kron(w E, w E), of shape ((p+2)^2, (p+1)^2), a cell's load is
+    its row of f at the (p+2)^2 quadrature points times Q.  f is
+    evaluated one block of BLOCK cells at a time and each block's product
+    is written straight into its rows of b.
+    """
     _require_2d(mesh)
-    xq, wq = basis.quad_x, basis.quad_w
-    E = basis.eval(xq)                       # (nq, p+1)
-    ox = mesh.cells * mesh.h
-    X = ox[:, 0][:, None, None] + mesh.h * xq[None, :, None]
-    Y = ox[:, 1][:, None, None] + mesh.h * xq[None, None, :]
-    F = problem.rhs(X, Y) * (mesh.h ** 2 * np.outer(wq, wq))[None]
-    b = E.T @ (F @ E)                        # sum_ab F_cab E_ai E_bj
-    return CellField(b.reshape(mesh.ncells, basis.n ** 2))
+    xq, h = basis.quad_x, mesh.h
+    wE = basis.quad_w[:, None] * basis.eval(xq)     # (nq, p+1)
+    Q = h ** 2 * np.kron(wE, wE)
+    b = np.empty((mesh.ncells, Q.shape[1]))
+    for lo in range(0, mesh.ncells, BLOCK):
+        o = mesh.cells[lo:lo + BLOCK] * h
+        X = o[:, 0, None, None] + h * xq[None, :, None]
+        Y = o[:, 1, None, None] + h * xq[None, None, :]
+        F = np.broadcast_to(problem.rhs(X, Y), (len(o), xq.size, xq.size))
+        np.matmul(F.reshape(len(o), -1), Q, out=b[lo:lo + BLOCK])
+    return CellField(b)
 
 
 def discretisation_error(u, problem, mesh, basis):

@@ -82,7 +82,7 @@ import numpy as np
 
 from .fields import CellField, FacetFlux, FacetProjection, exchange_interface
 from .localops import apply_flux
-from .mesh import make_partition
+from .mesh import is_count, make_partition
 
 
 class SmootherError(RuntimeError):
@@ -91,11 +91,6 @@ class SmootherError(RuntimeError):
 
 BLOCK = 2187        # cells per block: 3^7
 INVERSE_MODES = ("precomputed", "percell")
-
-
-def is_count(v):
-    """Whether v is an integer of any kind, bool excepted."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def is_real(v):

@@ -23,7 +23,8 @@ def mesh_tables(mesh):
     opposite_records, plus what the mesh does not store: each facet's
     axis and orientation n_F . e_axis, each cell face's facet id and the
     side the cell occupies there (0 minus, 1 plus), and the vertex
-    coordinates, C-major over [0, n]^dim.
+    coordinates, C-major over [0, n]^dim.  cell_vertices lists each
+    cell's corner vertex ids, corners C-major over (lo, hi) per axis.
     """
     dim, n = mesh.dim, mesh.n
     cells = [tuple(c) for c in mesh.cells.tolist()]
@@ -82,12 +83,20 @@ def mesh_tables(mesh):
                 opposite_records[own] = pair[1 - pair.index(own)]
 
     vertex_coords = np.indices((n + 1,) * dim).reshape(dim, -1).T * mesh.h
+    cell_vertices = np.empty((ncells, 2 ** dim), dtype=np.int64)
+    for k, c in enumerate(cells):
+        for b in range(2 ** dim):
+            vid = 0
+            for s in range(dim):
+                vid = vid * (n + 1) + c[s] + (b >> (dim - 1 - s)) % 2
+            cell_vertices[k, b] = vid
     return SimpleNamespace(
         facet_axis=facet_axis, facet_orient=facet_orient,
         facet_boundary=facet_boundary, facet_cells=facet_cells,
         facet_records=facet_records, cell_facets=cell_facets,
         cell_side=cell_side, neighbors=neighbors,
-        opposite_records=opposite_records, vertex_coords=vertex_coords)
+        opposite_records=opposite_records, vertex_coords=vertex_coords,
+        cell_vertices=cell_vertices)
 
 
 def assemble_global(mesh, basis, theta, gamma):

@@ -2,8 +2,9 @@ import tracemalloc
 
 import pytest
 
-from hpmg import (FacetProjection, MgConfig, apply_operator, build_rhs,
-                  discretisation_error, get_problem, make_state, solve, sweep)
+from hpmg import (FacetProjection, MgConfig, apply_operator, build_hierarchy,
+                  build_rhs, discretisation_error, get_problem, make_basis,
+                  make_state, solve, sweep)
 
 from conftest import blocks_for
 
@@ -53,6 +54,25 @@ def test_whole_mesh_temporaries_stay_within_budget():
     assert apply_bytes < 6.5 * field
     assert error_bytes < 5.0 * field
     assert vanilla_bytes < 1.0 * field
+
+
+def test_set_up_temporaries_stay_within_budget():
+    # L4 p3, budgets in cell fields as above, each between the figure of
+    # the earlier set-up and the current one; both include what the call
+    # returns:
+    # - build_rhs (26.5 -> 10.5): b, and the problem's temporaries of one
+    #   block, where the earlier build held the quadrature values and
+    #   their product with the shape values over the whole mesh;
+    # - build_hierarchy (3.0 -> 1.9): the four meshes, where the earlier
+    #   build also held whole-mesh corner and face-record temporaries.
+    mesh = build_hierarchy(2, 4)[0]
+    basis = make_basis("lobatto", 3)
+    field = mesh.ncells * basis.n ** 2 * 8
+    _, rhs_bytes = _traced_peak(
+        lambda: build_rhs(get_problem("two_peak"), mesh, basis))
+    _, mesh_bytes = _traced_peak(lambda: build_hierarchy(2, 4))
+    assert rhs_bytes < 16.0 * field
+    assert mesh_bytes < 2.5 * field
 
 
 @pytest.mark.parametrize("variant", ["fused", "tasked"])

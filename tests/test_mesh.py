@@ -69,6 +69,28 @@ def test_hierarchy_order_and_limits():
         build_hierarchy(2, 7)
 
 
+@pytest.mark.parametrize("args", [(2, True), (2, 2.0), (2.0, 2), (True, 2),
+                                  (np.float64(3.0), 1)],
+                         ids=["level-bool", "level-float", "dim-float",
+                              "dim-bool", "dim-numpy-float"])
+def test_hierarchy_rejects_non_integer_dim_and_level(args):
+    # True == 1 used to build L1 and 2.0 to fail inside range()
+    with pytest.raises(MeshError, match="integer"):
+        build_hierarchy(*args)
+
+
+@pytest.mark.parametrize("nparts", [2.0, True, np.float64(3.0), "2"])
+def test_partition_rejects_non_integer_part_counts(nparts):
+    with pytest.raises(MeshError, match="integer"):
+        make_partition(mesh_at(1), "balanced", nparts)
+
+
+def test_mesh_accepts_numpy_integers():
+    m = build_hierarchy(np.int64(2), np.int32(2))[0]
+    assert m.ncells == 81
+    assert make_partition(m, "balanced", np.int64(3)).nparts == 3
+
+
 def test_interior_facet_orientation():
     # n_F points from the minus to the plus cell
     m = mesh_at(2)
@@ -160,7 +182,7 @@ def test_index_tables_match_a_facet_by_facet_build(dim, level):
     m = mesh_at(level, dim)
     t = mesh_tables(m)
     for name in ("facet_boundary", "facet_cells", "facet_records",
-                 "neighbors", "opposite_records"):
+                 "neighbors", "opposite_records", "cell_vertices"):
         np.testing.assert_array_equal(getattr(m, name), getattr(t, name),
                                       err_msg=name)
 

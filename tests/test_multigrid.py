@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import hpmg.multigrid
 from hpmg import (
@@ -123,6 +125,21 @@ def test_cell_vertex_transfer_adjointness(rng):
         lhs = float(np.sum(prolong_from_vertices(mesh, blocks, E) * R))
         rhs = float(np.sum(E * restrict_to_vertices(mesh, blocks, R)))
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(kind=hs.sampled_from(["lobatto", "legendre"]), p=hs.integers(1, 3),
+       level=hs.integers(1, 2), seed=hs.integers(0, 2**32 - 1))
+def test_cell_vertex_transfers_are_adjoint(kind, p, level, seed):
+    # <restrict(r), e> == <r, prolong(e)> for e zero on the Dirichlet
+    # ring, to rounding in the size of the summed products
+    mesh, basis, blocks = blocks_for(kind, p, level)
+    gen = np.random.default_rng(seed)
+    E = _interior_random(mesh.n, gen)
+    R = gen.normal(size=(mesh.ncells, blocks.nloc))
+    terms = prolong_from_vertices(mesh, blocks, E) * R
+    lhs = float(np.sum(restrict_to_vertices(mesh, blocks, R) * E))
+    assert abs(lhs - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
 
 def test_prolongation_partition_of_unity():

@@ -13,6 +13,7 @@ from hpmg import (
     make_basis,
 )
 from hpmg.problems import PROBLEMS
+from hpmg.smoother import BLOCK
 
 from conftest import mesh_at
 
@@ -93,28 +94,46 @@ def test_rhs_of_constant_forcing():
     np.testing.assert_allclose(b.data, mesh.h ** 2 / 4.0, atol=1e-15)
 
 
-def test_rhs_matches_fine_quadrature_oracle():
-    # against an independent 20-point rule, on a forcing the cell rule
-    # integrates exactly (per-axis degree p + 5 stays within 2(p+2) - 1)
-    mesh = mesh_at(1)
-    basis = make_basis("legendre", 2)
-    poly = PROBLEMS["zero"].__class__(
-        "poly", lambda x, y: 0.0 * x,
-        lambda x, y: (x ** 3 - 0.2 * x) * (y ** 2 + 1.5))
-    b = build_rhs(poly, mesh, basis)
+# a forcing the cell rule integrates exactly against every basis function
+# (per-axis degree p + 3 stays within 2(p+2) - 1)
+_POLY = PROBLEMS["zero"].__class__(
+    "poly", lambda x, y: 0.0 * x,
+    lambda x, y: (x ** 3 - 0.2 * x) * (y ** 2 + 1.5))
+
+
+def _check_rhs_against_fine_rule(mesh, basis, cells):
+    # against an independent 20-point rule on each listed cell
+    b = build_rhs(_POLY, mesh, basis)
     xg, wg = np.polynomial.legendre.leggauss(20)
     xg = 0.5 * (xg + 1.0)
     wg = 0.5 * wg
     h = mesh.h
     E = basis.eval(xg)
-    for k in (0, int(mesh.cell_rank[1, 1])):
+    for k in cells:
         ox, oy = mesh.cells[k] * h
         X = ox + h * xg[:, None]
         Y = oy + h * xg[None, :]
-        F = poly.rhs(X, Y) * (h ** 2 * np.outer(wg, wg))
+        F = _POLY.rhs(X, Y) * (h ** 2 * np.outer(wg, wg))
         want = np.einsum("ab,ai,bj->ij", F, E, E).reshape(-1)
         np.testing.assert_allclose(b.data[k], want,
-                                   atol=1e-13 * np.max(np.abs(want)))
+                                   atol=1e-13 * np.max(np.abs(want)),
+                                   err_msg=f"cell {k}")
+
+
+def test_rhs_matches_fine_quadrature_oracle():
+    mesh = mesh_at(1)
+    _check_rhs_against_fine_rule(mesh, make_basis("legendre", 2),
+                                 (0, int(mesh.cell_rank[1, 1])))
+
+
+@pytest.mark.parametrize("kind", ["lobatto", "legendre"])
+def test_rhs_matches_fine_quadrature_oracle_in_every_block(kind):
+    # L4 is three blocks of BLOCK cells: one cell checked in each, at
+    # different offsets, so a block written to the wrong rows fails
+    mesh = mesh_at(4)
+    assert mesh.ncells == 3 * BLOCK
+    _check_rhs_against_fine_rule(mesh, make_basis(kind, 2),
+                                 (7, BLOCK + 1093, 3 * BLOCK - 1))
 
 
 def test_rhs_integral_identity():
