@@ -4,13 +4,15 @@ Cell data is stored cell-major in curve order with one contiguous block per
 cell.  Facet data comes in two flavours.  The projection field holds every
 cell's signed value and normal-derivative traces on its 2*dim faces, also
 cell-major, so a traversal over a cell range writes one contiguous block.
-The flux field holds the averaged value/derivative pair of every cell face
-in the same layout, formed from the cell's own record and the record
-across the face (Mesh.opposite_records).  There is one trace store for the
-whole mesh, shared by all subdomains, so the interface exchange has nothing
-to copy: it only checks that both records of every interface facet were
-written.  Only the stages sweep keeps a flux store, the single-touch sweeps
-form a block's fluxes into a reused buffer.
+The flux field has the same layout and holds, for every cell face, the
+record across it (Mesh.opposite_records): the numerical flux is the
+average of that record and the cell's own, and the sweeps' split form
+needs only the record across.  There is one trace store for the whole
+mesh, shared by all subdomains, so the interface exchange has nothing to
+copy: it only checks that both records of every interface facet were
+written.  Only the stages sweep keeps a flux store; the single-touch
+sweeps gather a block's records across into a reused buffer, and the
+residual traversal averages them there into the block's fluxes.
 """
 
 from __future__ import annotations
@@ -112,12 +114,14 @@ class FacetProjection:
 
 @dataclass
 class FacetFlux:
-    """Numerical fluxes per cell face: data[cell, axis, face, quantity, node].
+    """Records across each cell face: data[cell, axis, face, quantity, node].
 
     The layout and signs of FacetProjection: row (c*dim + s)*2 + f of
-    records() is the flux of the facet under cell c's face (s, f), so the
-    two cells of an interior facet each hold a copy of its flux, and a
-    boundary face holds its cell's own record as the projection wrote it.
+    records() is the record across cell c's face (s, f), the other record
+    of the face's facet, so the two cells of an interior facet each hold
+    the other's record, and a boundary face holds its cell's own record
+    as the projection wrote it.  apply_flux of the projection's and this
+    store's data is the numerical flux of every cell face.
     """
 
     data: np.ndarray

@@ -83,7 +83,13 @@ class LocalBlocks:
     faces in (s, f) order, the value -1 on the low face, where the cell is
     the plus side of an interior facet.  couplings (dim, 2, nloc, 2*nf)
     holds [Acf_w | Acf_wp] of each face, -1 on the high face, where the
-    cell is the minus side.
+    cell is the minus side.  across (nloc, 2*dim*2*nf) holds half of every
+    face's couplings side by side in (s, f) order: the cell's own half of
+    each flux is already in S (half of couplings[s, f] times the face's
+    rows of traces is D_int[s, f]), so the product of the records across
+    a cell's faces by across is N u, with N = A - S the part of the
+    operator off the interior block; a boundary face's record across is
+    its own, which adds D_bnd - D_int.
     """
 
     kind: str
@@ -109,6 +115,7 @@ class LocalBlocks:
     P_loc: np.ndarray
     traces: np.ndarray = field(init=False)
     couplings: np.ndarray = field(init=False)
+    across: np.ndarray = field(init=False)
 
     def __post_init__(self):
         low_high = np.array([-1.0, 1.0])[:, None, None]
@@ -116,6 +123,8 @@ class LocalBlocks:
                                axis=2).reshape(-1, self.nloc)
         self.couplings = -low_high * np.concatenate([self.Acf_w, self.Acf_wp],
                                                     axis=3)
+        self.across = 0.5 * np.moveaxis(self.couplings, 2, 0).reshape(
+            self.nloc, -1)
 
     def assemble_true_diagonal(self, boundary_faces):
         """Diagonal block of a cell whose faces (s, f) in the set are on

@@ -1,38 +1,49 @@
 """Block-Jacobi smoothers over the cell/projection/flux splitting.
 
-Three sweeps, under four variant names, produce identical iterates by
-different data flow:
+Every sweep is u <- (1 - omega) u + omega S^-1 (b - N u), the damped
+block-Jacobi step u + omega S^-1 (b - A u) in split form: S is the
+interior-cell block and N = A - S.  A cell's own half of every flux is
+already in S, so N u is the other half, the product of the records
+across the cell's faces by LocalBlocks.across, and a sweep forms no
+fluxes.  Three sweeps, under four variant names, produce identical
+iterates by different data flow:
 
   vanilla   a block loop reading the 2*dim neighbour cell blocks directly;
-            the condensed neighbour couplings are applied per facet pair.
-  stages    three traversals: project cell data to facets, form every
-            cell-face flux into a flux store, then accumulate residuals
-            and update block by block from slices of that store.
+            N u is the condensed neighbour couplings applied per face,
+            plus (D_bnd - D_int) u on a boundary face.
+  stages    three traversals: project cell data to facets, copy the
+            record across every cell face into a store, then b - N u and
+            the update block by block from slices of that store.
   fused     a single touch of the cells per iteration: one loop over
-            blocks of BLOCK cells forms each block's cell-face fluxes, its
-            residual, the update and the re-projection of the updated
-            cells, in place in the one trace store; a cold state is
-            warmed up first by a projection traversal.  Fluxes of
-            iterate k are always formed from iterate k's traces: before
+            blocks of BLOCK cells gathers the records across each block's
+            cell faces, forms b - N u, the update and the re-projection
+            of the updated cells, in place in the one trace store; a cold
+            state is warmed up first by a projection traversal.  N u of
+            iterate k is always formed from iterate k's traces: before
             the loop the sweep copies into a halo the records that a block
             reads across its block boundary (Mesh.opposite_records), which
             an earlier block or a concurrent task may already have
-            rewritten, and each block takes those rows of its fluxes from
-            the halo.
+            rewritten, and each block takes those rows from the halo.
   tasked    another name for fused, kept for the runs that ask for its
             blocks as tasks (workers > 1).
 
-Every traversal (the sweeps, the stages sweep's flux pass, projection,
+Only the residual traversal (compute_residual_only, which apply_operator
+and the solver's restriction use) still forms fluxes: b - A u with A in
+its three-field form, Acc u and each face's coupling times the face's
+flux, the average of the two records of its facet.  That keeps A u, and
+its exact symmetry at theta = -1, independent of the sweeps.
+
+Every traversal (the sweeps, the stages sweep's gather pass, projection,
 residual, the solver's prolongation) is a block loop through
 SmootherState.each_block, those that change u through update_blocks,
 which re-projects their blocks when the sweep reads traces.  With one
 worker, or a mesh of one block, that is a plain loop; otherwise the
 state's thread pool runs one task per worker over a contiguous run of
-blocks, each task with its own block buffers.  A block's fluxes use
-iterate k's traces only: its own rows of the store, which no other task
-writes, and the halo, which no task writes (what its gather read across
-the block boundary is replaced from the halo).  It writes only its own
-rows of u and of the store, so the tasks are independent and the iterate
+blocks, each task with its own block buffers.  A block reads iterate
+k's traces only: its own rows of the store, which no other task writes,
+and the halo, which no task writes (what its gather read across the
+block boundary is replaced from the halo).  It writes only its own rows
+of u and of the store, so the tasks are independent and the iterate
 does not depend on the worker count or on the order the tasks run in.
 The block kernels count nothing; each traversal adds its closed-form
 counts once, on the calling thread, and each_block one to
@@ -57,19 +68,20 @@ other sweeps to 1e-12, not bit for bit.
 The trace store is cell-major (see fields.FacetProjection): a cell range
 writes its signed value and derivative traces on all 2*dim faces with one
 product by the stacked trace matrix, straight into its contiguous block of
-the store.  The fluxes are the only gather: a block's cell-face fluxes are
-one take of the records across its faces (Mesh.opposite_records), in the
-fused sweep with the rows across the block boundary replaced from the
-halo, averaged in place with the block's own contiguous records.  The
-signs of the traces and of the face terms are those folded into the
-signed stacks LocalBlocks.traces and LocalBlocks.couplings, the one table
-of localops, with no exception: a boundary facet has one side, its flux
-is its cell's own record, and its face term, a product of two one-sided
-factors, does not depend on which way the boundary normal points.
+the store.  The records across the faces are the only gather: a block's
+are one take through Mesh.opposite_records, in the fused sweep with the
+rows across the block boundary replaced from the halo; the residual
+traversal averages them in place with the block's own contiguous records
+into its fluxes.  The signs of the traces and of the face terms are those
+folded into the signed stacks LocalBlocks.traces, LocalBlocks.couplings
+and LocalBlocks.across, the one table of localops, with no exception: a
+boundary facet has one side, the record across it is its cell's own
+record, and its face term, a product of two one-sided factors, does not
+depend on which way the boundary normal points.
 
 The update uses the interior-cell block inverse everywhere, also next to
-the boundary; the residual keeps the exact one-sided boundary fluxes, so
-the fixed point is the exact discrete solution.
+the boundary; N keeps the exact one-sided boundary terms, so the fixed
+point is the exact discrete solution.
 """
 
 from __future__ import annotations
@@ -149,7 +161,11 @@ class SweepCounters:
     distributed run would compute it on both sides.  The fused sweep's
     halo copy is not counted: the counters model the logical traffic of
     the traversals, which memory_access_model predicts, and the halo is
-    an artefact of updating the one trace store in place.  tasks_spawned
+    an artefact of updating the one trace store in place.  Nor do the
+    totals follow the sweeps' split form, which gathers the records across
+    each face and forms no fluxes: a sweep counts the residual of the flux
+    form, the paper's logical traffic, which memory_access_model predicts
+    and acceptance criterion 4 pins.  tasks_spawned
     and tasks_executed count pool tasks, one per worker's run of blocks of
     a traversal; a traversal run inline counts none.  traversals counts
     the passes over the mesh, one per each_block loop; total() leaves it
@@ -187,12 +203,13 @@ class SmootherState:
     The fused sweep re-projects each block into it in place, after copying
     the records that blocks read across their block boundaries into the
     halo: _halo_src names those records' rows of the store, and
-    _halo_reads, per block with any, the rows of the block's fluxes they
-    replace and their rows of the halo.  A mesh of one block has no halo.
-    flux holds the cell-face flux store of the stages sweep and is empty
-    for the other variants.  With workers > 1 the block loops run on a
-    thread pool, started by the first traversal of more than one block;
-    used as a context manager, the state shuts it down on exit.
+    _halo_reads, per block with any, the rows of the block's records
+    across they replace and their rows of the halo.  A mesh of one block
+    has no halo.  flux holds the stages sweep's store of the record across
+    each cell face and is empty for the other variants.  With workers > 1
+    the block loops run on a thread pool, started by the first traversal
+    of more than one block; used as a context manager, the state shuts it
+    down on exit.
     """
 
     mesh: object
@@ -212,12 +229,13 @@ class SmootherState:
     warm: bool = False
     u_old: CellField = None
     _old: np.ndarray = None     # u_old and a zero row for neighbour id -1
+    _omega_sinv: np.ndarray = None  # omega S^-1, in precomputed mode
     _executor: object = None
     _halo: np.ndarray = None    # copies of the records read across blocks
     _halo_src: np.ndarray = None  # their rows of the store
-    _halo_reads: dict = None    # block lo -> (its flux rows, halo rows)
-    _bufs: list = None  # per task: a block's (fluxes, residual, face term,
-                        # corner values)
+    _halo_reads: dict = None    # block lo -> (its rows across, halo rows)
+    _bufs: list = None  # per task: a block's (records across or fluxes,
+                        # residual, face term or step, corner values)
 
     def close(self):
         if self._executor is not None:
@@ -288,10 +306,10 @@ class SmootherState:
 
     def each_block(self, fn):
         """fn(lo, hi, bufs) for every block, bufs being one task's
-        (fluxes, residual, face term, corner values) buffers.  With one
-        worker or one block a plain loop; otherwise one pool task per
-        worker over a contiguous run of blocks, each task with its own
-        buffers."""
+        (records across or fluxes, residual, face term or step, corner
+        values) buffers.  With one worker or one block a plain loop;
+        otherwise one pool task per worker over a contiguous run of
+        blocks, each task with its own buffers."""
         blocks = self._blocks()
         ntasks = min(self.workers, len(blocks))
         self.counters.traversals += 1
@@ -332,25 +350,32 @@ class SmootherState:
             exchange_interface(self.proj[0], self.partition)
         self.warm = reproject
 
-    def _face_fluxes(self, lo, hi, out, halo=False):
-        """The fluxes on every face of cells lo..hi from the current traces,
-        one row per record in the store's order, in the first rows of out:
-        the record across each face, gathered through
-        Mesh.opposite_records (with halo, those across the block boundary
-        from the halo instead), averaged in place with the cell's own.  A
-        boundary record names itself, and the average of a record with
-        itself is that record, bit for bit."""
+    def _records_across(self, lo, hi, out, halo=False):
+        """The record across every face of cells lo..hi, one row per
+        record in the store's order, in the first rows of out: gathered
+        through Mesh.opposite_records (with halo, those across the block
+        boundary from the halo instead).  A boundary record names
+        itself."""
         k = 2 * self.mesh.dim
-        recs = self.proj[0].records()
         out = out[:(hi - lo) * k]
         # the record ids are in range by construction; mode "raise" would
         # buffer the output
-        np.take(recs, self.mesh.opposite_records[lo * k:hi * k], axis=0,
-                out=out, mode="clip")
+        np.take(self.proj[0].records(),
+                self.mesh.opposite_records[lo * k:hi * k], axis=0, out=out,
+                mode="clip")
         if halo and lo in self._halo_reads:
             rows, src = self._halo_reads[lo]
             out[rows] = self._halo[src]
-        return apply_flux(out, recs[lo * k:hi * k], out=out)
+        return out
+
+    def _face_fluxes(self, lo, hi, out):
+        """The fluxes on every face of cells lo..hi from the current
+        traces, laid out as _records_across lays out the records across:
+        those records, averaged in place with the cell's own.  The average
+        of a boundary record with itself is that record, bit for bit."""
+        k = 2 * self.mesh.dim
+        out = self._records_across(lo, hi, out)
+        return apply_flux(out, self.proj[0].records()[lo * k:hi * k], out=out)
 
     def _count(self, project=False, residual=False, update=False):
         """Add the counts of whole-mesh kernel passes, on the calling
@@ -411,22 +436,35 @@ class SmootherState:
         self._count(residual=True)
         return R
 
-    def _cell_inverse(self):
-        """The interior block inverse; percell mode redoes assembly and
-        factorisation on every visit and keeps nothing."""
-        bl = self.blocks
-        if self.inverse_mode == "precomputed":
-            return bl.Sinv
-        return np.linalg.inv(bl.Acc + sum(bl.D_int.reshape(-1, bl.nloc,
-                                                           bl.nloc)))
+    def _split_residual(self, lo, hi, R, across):
+        """R = b - N u on cells lo..hi, N = A - S the part of the operator
+        off the interior block: one product of the records across the
+        cells' faces (across, laid out as _records_across lays them out)
+        by LocalBlocks.across.  R is a C-contiguous (hi - lo, nloc)
+        array."""
+        _rows_mm(across.reshape(hi - lo, -1), self.blocks.across, out=R)
+        np.subtract(self.b.data[lo:hi], R, out=R)
+        return R
 
-    def _update_range(self, R, lo, term):
-        """u += omega S^-1 r on cells lo.., one product, formed in term (a
-        scratch buffer of at least len(R) rows); percell mode rebuilds the
-        inverse on every call, so once per block visit."""
-        step = _rows_mm(R, self._cell_inverse(), out=term[:len(R)])
-        step *= self.omega
-        self.u.data[lo:lo + len(R)] += step
+    def _step_inverse(self):
+        """omega times the interior block inverse; percell mode redoes
+        assembly and factorisation on every visit and keeps nothing."""
+        if self.inverse_mode == "precomputed":
+            return self._omega_sinv
+        bl = self.blocks
+        return self.omega * np.linalg.inv(
+            bl.Acc + sum(bl.D_int.reshape(-1, bl.nloc, bl.nloc)))
+
+    def _relax(self, lo, R, term):
+        """u = (1 - omega) u + omega S^-1 R on cells lo.., R = b - N u: the
+        update of every sweep, u + omega S^-1 (b - A u) in split form.  One
+        product, formed in term (a scratch buffer of at least len(R)
+        rows); percell mode re-forms the inverse on every call, so once
+        per block visit."""
+        step = _rows_mm(R, self._step_inverse(), out=term[:len(R)])
+        u = self.u.data[lo:lo + len(R)]
+        u *= 1.0 - self.omega
+        u += step
 
     def _backup_old(self):
         """u into the old iterate, kept across sweeps with a zero last row
@@ -443,6 +481,18 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
                variant="fused", inverse_mode="precomputed", workers=1,
                u0=None, track_old=False):
     """Allocate the solution, facet scratch and index tables of a run."""
+    st = _new_state(mesh, basis, blocks, b,
+                    CellField.zeros(mesh.ncells, blocks.nloc), partition,
+                    omega, variant, inverse_mode, workers, track_old)
+    if u0 is not None:
+        st.set_solution(u0)
+    return st
+
+
+def _new_state(mesh, basis, blocks, b, u, partition=None, omega=0.6,
+               variant="fused", inverse_mode="precomputed", workers=1,
+               track_old=False):
+    """make_state on the iterate u, a CellField the state adopts."""
     check_settings(omega, variant, inverse_mode, workers)
     if partition is None:
         partition = make_partition(mesh, "balanced", 1)
@@ -454,15 +504,14 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
                                  dtype=float)
     if bdata.shape != (mesh.ncells, blocks.nloc):
         raise SmootherError("right-hand side shape does not match mesh/basis")
-    u = CellField.zeros(mesh.ncells, blocks.nloc)
     st = SmootherState(
         mesh=mesh, basis=basis, blocks=blocks, partition=partition,
         u=u, b=CellField(bdata), omega=omega,
         variant=variant, inverse_mode=inverse_mode, workers=workers,
         track_old=track_old,
     )
-    if u0 is not None:
-        st.set_solution(u0)
+    if inverse_mode == "precomputed":
+        st._omega_sinv = omega * blocks.Sinv
     st.proj = [FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)]
     if st.sweep_reads_traces:
         _build_halo(st)
@@ -498,8 +547,10 @@ def _build_halo(st):
 
 def sweep_vanilla(state):
     """One block-Jacobi iteration reading neighbour cells directly, block
-    by block from the old iterate; a boundary face's gather reads its zero
-    last row, so boundary cells issue the same 2*dim block reads."""
+    by block from the old iterate: N u is the neighbour couplings, and on
+    a boundary face (D_bnd - D_int) u; a boundary face's gather reads the
+    old iterate's zero last row, so boundary cells issue the same 2*dim
+    block reads."""
     mesh, bl = state.mesh, state.blocks
     state._backup_old()
     U = state._old      # u itself is updated in place below
@@ -507,17 +558,14 @@ def sweep_vanilla(state):
     def block(lo, hi, bufs):
         _, R, term, _ = bufs
         R, term, nb = R[:hi - lo], term[:hi - lo], mesh.neighbors[lo:hi]
-        _rows_mm(U[lo:hi], bl.Acc, out=R)
-        np.subtract(state.b.data[lo:hi], R, out=R)
-        for s, f in np.ndindex(mesh.dim, 2):
-            _rows_mm(U[lo:hi], bl.D_int[s, f], out=term)
-            bnd = np.flatnonzero(nb[:, s, f] < 0)
-            if bnd.size:    # one product per block and face: see module doc
-                term[bnd] = _rows_mm(U[lo + bnd], bl.D_bnd[s, f])
-            R -= term
+        R[:] = state.b.data[lo:hi]
         for s, f in np.ndindex(mesh.dim, 2):
             R -= _rows_mm(U[nb[:, s, f]], bl.Nb[s, f], out=term)
-        state._update_range(R, lo, term)
+            bnd = np.flatnonzero(nb[:, s, f] < 0)
+            if bnd.size:    # one product per block and face: see module doc
+                R[bnd] -= _rows_mm(U[lo + bnd],
+                                   bl.D_bnd[s, f] - bl.D_int[s, f])
+        state._relax(lo, R, term)
 
     state.update_blocks(block)
     state.counters.cell_reads += (2 + 2 * mesh.dim) * mesh.ncells * bl.nloc
@@ -527,21 +575,21 @@ def sweep_vanilla(state):
 
 
 def sweep_stages(state):
-    """One iteration as three separate traversals: project, form every
-    cell-face flux into the flux store, then residual and update block by
-    block from slices of that store."""
+    """One iteration as three separate traversals: project, copy the
+    record across every cell face into the flux store, then b - N u and
+    the update block by block from slices of that store."""
     state.warm_up()
     if state.track_old:
         state._backup_old()
     store = state.flux[0].records()
     k = 2 * state.mesh.dim
-    state.each_block(lambda lo, hi, _: state._face_fluxes(
+    state.each_block(lambda lo, hi, _: state._records_across(
         lo, hi, store[lo * k:hi * k]))
 
     def block(lo, hi, bufs):
         _, res, term, _ = bufs
-        state._update_range(state._block_residual(
-            lo, hi, res[:hi - lo], store[lo * k:hi * k], term), lo, term)
+        state._relax(lo, state._split_residual(
+            lo, hi, res[:hi - lo], store[lo * k:hi * k]), term)
 
     state.update_blocks(block)
     state._count(residual=True, update=True)
@@ -553,12 +601,12 @@ def sweep_fused(state):
     """One iteration in a single touch of the cells, consuming the traces
     the previous traversal wrote; a cold state is warmed up first.
 
-    Block by block: the block's cell-face fluxes from iterate k's traces,
-    b - A u, the update and the re-projection of the updated cells into
-    their rows of the store.  A block's own records are still iterate k's
-    when it reads them; the records it reads across its block boundary,
-    which another block may already have rewritten, come from the halo,
-    copied from the store before the loop.
+    Block by block: the records across the block's cell faces from
+    iterate k's traces, b - N u, the update and the re-projection of the
+    updated cells into their rows of the store.  A block's own records
+    are still iterate k's when it reads them; the records it reads across
+    its block boundary, which another block may already have rewritten,
+    come from the halo, copied from the store before the loop.
     """
     if not state.warm:
         state.warm_up()
@@ -568,11 +616,10 @@ def sweep_fused(state):
             out=state._halo, mode="clip")
 
     def block(lo, hi, bufs):
-        fluxes, res, term, _ = bufs
-        R = state._block_residual(
+        across, res, term, _ = bufs
+        state._relax(lo, state._split_residual(
             lo, hi, res[:hi - lo],
-            state._face_fluxes(lo, hi, fluxes, halo=True), term)
-        state._update_range(R, lo, term)
+            state._records_across(lo, hi, across, halo=True)), term)
 
     state.update_blocks(block)
     state._count(residual=True, update=True)
@@ -618,11 +665,13 @@ def apply_operator(mesh, basis, blocks, U, partition=None):
     if data.shape != (mesh.ncells, blocks.nloc):
         raise SmootherError(f"operand of shape {data.shape} does not match "
                             f"mesh/basis {(mesh.ncells, blocks.nloc)}")
-    # A u = -(b - A u) with b = 0, which is only read, so its pages are
-    # never written; never swept: the variant without sweep stores
-    st = make_state(mesh, basis, blocks, np.zeros_like(data),
+    # A u = -(b - A u) with b = 0.  The state adopts data as its iterate
+    # and is never swept: the variant without sweep stores.  The zero b
+    # also receives A u: each block reads its own rows of b before it
+    # writes them, and no block reads another's
+    out = np.zeros_like(data)
+    st = _new_state(mesh, basis, blocks, out, CellField(data),
                     partition=partition, variant="vanilla")
-    st.u = CellField(data)
-    r = compute_residual_only(st)
-    np.negative(r.data, out=r.data)
-    return r
+    compute_residual_only(
+        st, lambda lo, hi, R: np.negative(R, out=out[lo:hi]))
+    return CellField(out)

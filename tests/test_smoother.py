@@ -18,6 +18,7 @@ from hpmg import (
     sweep,
 )
 from hpmg.fields import DER, VAL, exchange_interface
+from hpmg.localops import apply_flux
 from hpmg.smoother import (BLOCK, _rows_mm, compute_residual_only,
                            sweep_fused)
 
@@ -68,11 +69,15 @@ def test_fixed_point_is_left_alone(variant):
 
 
 def test_zero_relaxation_changes_nothing(rng):
-    mesh, basis, blocks, b, st = _random_setup(variant="fused", omega=0.0)
-    u0 = rng.normal(size=(mesh.ncells, blocks.nloc))
-    st.set_solution(u0)
-    got = _run(st, 3)
-    np.testing.assert_array_equal(got, u0)
+    # omega enters the inverse: (1 - 0) u + 0 S^-1 (b - N u) is u, bit for
+    # bit; L4 has three blocks
+    for level in (1, 4):
+        mesh, basis, blocks, b, st = _random_setup(variant="fused", omega=0.0,
+                                                   level=level)
+        u0 = rng.normal(size=(mesh.ncells, blocks.nloc))
+        st.set_solution(u0)
+        got = _run(st, 3)
+        np.testing.assert_array_equal(got, u0)
 
 
 def test_variants_agree_to_machine_precision():
@@ -91,9 +96,13 @@ def test_variants_agree_to_machine_precision():
 
 
 def test_percell_inverse_is_bitwise_equal():
-    *_, st_pre = _random_setup(variant="fused", inverse_mode="precomputed")
-    *_, st_per = _random_setup(variant="fused", inverse_mode="percell")
-    np.testing.assert_array_equal(_run(st_pre, 5), _run(st_per, 5))
+    # also on the three blocks of L4, each visit re-forming omega S^-1
+    for level in (1, 4):
+        *_, st_pre = _random_setup(variant="fused", level=level,
+                                   inverse_mode="precomputed")
+        *_, st_per = _random_setup(variant="fused", level=level,
+                                   inverse_mode="percell")
+        np.testing.assert_array_equal(_run(st_pre, 5), _run(st_per, 5))
 
 
 def test_partition_and_worker_invariance():
@@ -181,6 +190,29 @@ def test_block_traversals_agree_bitwise(level, p):
     part = make_partition(mesh, "geometric", 5)
     np.testing.assert_array_equal(
         three_sweeps(variant="vanilla", partition=part), want)
+
+
+@pytest.mark.parametrize("level, p", [(5, 1), (4, 3)])
+def test_multi_block_sweep_is_one_step_of_the_operator(level, p):
+    # every schedule's sweep is u + omega S^-1 (b - A u) on a mesh of
+    # several blocks (L5 27, whose fused sweep reads records across block
+    # boundaries from its halo, L4 3), with b - A u from the residual
+    # traversal
+    mesh, basis, blocks = blocks_for("lobatto", p, level)
+    assert mesh.ncells > BLOCK
+    u, b = np.random.default_rng(level).normal(
+        size=(2, mesh.ncells, blocks.nloc))
+    omega = 0.9
+    with make_state(mesh, basis, blocks, b, u0=u) as st:
+        r = compute_residual_only(st).data
+    want = u + omega * r @ blocks.Sinv.T
+    for variant, workers in (("fused", 1), ("tasked", 2), ("stages", 1),
+                             ("vanilla", 1)):
+        with make_state(mesh, basis, blocks, b, omega=omega, variant=variant,
+                        workers=workers, u0=u) as st:
+            sweep(st)
+        assert (np.max(np.abs(st.u.data - want))
+                < 1e-12 * np.max(np.abs(want))), variant
 
 
 def test_pooled_sweeps_replay_under_frequent_thread_switches():
@@ -297,9 +329,11 @@ def test_constant_state_produces_zero_interior_value_flux():
     mesh, basis, blocks, b, st = _random_setup(variant="stages")
     st.set_solution(np.full((mesh.ncells, blocks.nloc), 2.5))
     sweep(st)
-    # the cell-face flux store, one record per (cell, axis, face)
+    # the cell-face fluxes, one record per (cell, axis, face), from the
+    # stages sweep's two stores: iterate k's traces, which it leaves in
+    # place, and the records across each face
     boundary = mesh.neighbors < 0
-    fl = st.flux[0].data
+    fl = apply_flux(st.proj[0].data, st.flux[0].data)
     # signed value traces of the two sides cancel in the average
     assert np.max(np.abs(fl[~boundary][:, VAL])) < 1e-14
     assert np.max(np.abs(fl[~boundary][:, DER])) < 1e-12
