@@ -10,7 +10,7 @@ experiment drivers behind the `hpmg-bench` command line.
 """
 
 from .basis import BasisError, NodalBasis1D, make_basis, ref_matrices
-from .fields import (CellField, FacetFlux, FacetProjection, FieldError,
+from .fields import (CellField, FacetProjection, FieldError,
                      exchange_interface, fmt_float, norm)
 from .localops import (AssemblyError, LocalBlocks, apply_flux,
                        build_local_blocks, default_penalty,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssemblyError", "BasisError", "CellField",
     "CoarseSolveError",
-    "CycleTrace", "FacetFlux", "FacetProjection", "FieldError",
+    "CycleTrace", "FacetProjection", "FieldError",
     "LocalBlocks", "Mesh", "MeshError", "MgConfig", "MgError", "MgResult",
     "NodalBasis1D", "NonFiniteError", "Partition", "Problem", "ProblemError",
     "SmootherError",

@@ -1,18 +1,16 @@
 """Degree-of-freedom containers for cell and facet data.
 
 Cell data is stored cell-major in curve order with one contiguous block per
-cell.  Facet data comes in two flavours.  The projection field holds every
-cell's signed value and normal-derivative traces on its 2*dim faces, also
+cell.  Facet data has one type, FacetProjection: one record per cell face
+holding a cell's signed value and normal-derivative traces, also
 cell-major, so a traversal over a cell range writes one contiguous block.
-The flux field has the same layout and holds, for every cell face, the
-record across it (Mesh.opposite_records): the numerical flux is the
-average of that record and the cell's own, and the sweeps' split form
-needs only the record across.  There is one trace store for the whole
-mesh, shared by all subdomains, so the interface exchange has nothing to
-copy: it only checks that both records of every interface facet were
-written.  Only the stages sweep keeps a flux store; the single-touch
-sweeps gather a block's records across into a reused buffer, and the
-residual traversal averages them there into the block's fluxes.
+There is one trace store for the whole mesh, shared by all subdomains, so
+the interface exchange has nothing to copy: it only checks that both
+records of every interface facet were written.  The stages sweep keeps a
+second store of the same type, which holds for every cell face the record
+across it (Mesh.opposite_records); the other traversals gather a block's
+records across into a reused buffer, and the residual traversal averages
+them there with the block's own records into its fluxes.
 """
 
 from __future__ import annotations
@@ -96,7 +94,10 @@ class FacetProjection:
     cell's residual.  Row (c*dim + s)*2 + f of records() is one record,
     the layout Mesh.facet_records indexes.  The written flags, one per
     record, track which records a traversal has produced; the interface
-    exchange checks them.
+    exchange checks them.  The stages sweep's second store holds in row
+    (c*dim + s)*2 + f the record across cell c's face (s, f), the other
+    record of its facet (a boundary face's own); apply_flux of the two
+    stores' data is then the numerical flux of every cell face.
     """
 
     data: np.ndarray
@@ -109,29 +110,6 @@ class FacetProjection:
 
     def records(self):
         """(ncells*dim*2, 2*nf) view, one row per record."""
-        return self.data.reshape(-1, 2 * self.data.shape[-1])
-
-
-@dataclass
-class FacetFlux:
-    """Records across each cell face: data[cell, axis, face, quantity, node].
-
-    The layout and signs of FacetProjection: row (c*dim + s)*2 + f of
-    records() is the record across cell c's face (s, f), the other record
-    of the face's facet, so the two cells of an interior facet each hold
-    the other's record, and a boundary face holds its cell's own record
-    as the projection wrote it.  apply_flux of the projection's and this
-    store's data is the numerical flux of every cell face.
-    """
-
-    data: np.ndarray
-
-    @classmethod
-    def zeros(cls, ncells, dim, nf):
-        return cls(np.zeros((ncells, dim, 2, 2, nf)))
-
-    def records(self):
-        """(ncells*dim*2, 2*nf) view, one row per cell face."""
         return self.data.reshape(-1, 2 * self.data.shape[-1])
 
 

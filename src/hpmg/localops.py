@@ -35,11 +35,13 @@ LocalBlocks into the signed stacks the traversals read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import ref_matrices
+from .mesh import is_count, is_real
 
 
 class AssemblyError(RuntimeError):
@@ -160,9 +162,21 @@ def _condense(Tval, Tder, f, a_w, a_wp=None):
 
 def build_local_blocks(basis, dim, h, theta=-1.0, penalty_const=1.0):
     """Assemble every block for cells of size h^dim, with the penalty
-    default_penalty(p, h, penalty_const)."""
-    if dim not in (2, 3):
-        raise AssemblyError(f"dim must be 2 or 3, got {dim}")
+    default_penalty(p, h, penalty_const).  AssemblyError unless dim is
+    the integer 2 or 3, h, theta and penalty_const are finite real
+    numbers, h > 0 and penalty_const >= 0."""
+    if not is_count(dim) or dim not in (2, 3):
+        raise AssemblyError(f"dim must be 2 or 3, got {dim!r}")
+    for name, v in (("h", h), ("theta", theta),
+                    ("penalty_const", penalty_const)):
+        if not (is_real(v) and math.isfinite(v)):
+            raise AssemblyError(f"{name} must be a finite real number, "
+                                f"got {v!r}")
+    if h <= 0:
+        raise AssemblyError(f"cell size h must be positive, got {h!r}")
+    if penalty_const < 0:
+        raise AssemblyError(f"penalty_const must be >= 0, got "
+                            f"{penalty_const!r}")
     p = basis.p
     n1 = p + 1
     gamma = default_penalty(p, h, penalty_const)

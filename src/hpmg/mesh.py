@@ -28,6 +28,11 @@ def is_count(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def is_real(v):
+    """Whether v is a real number of any kind, bool excepted."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def peano_order(dim, level):
     """Cell multi-indices of the 3^(level*dim) cells in curve order.
 

@@ -43,9 +43,9 @@ import numpy as np
 # in this module as well as in the smoother
 from .fields import (CellField, combine_norms, exchange_interface,
                      fmt_float, norm_parts)
-from .mesh import MAX_LEVEL, is_count
+from .mesh import MAX_LEVEL, is_count, is_real
 from .smoother import (SWEEPS, SmootherError, _rows_mm, check_settings,
-                       compute_residual_only, is_real, make_state)
+                       compute_residual_only, make_state)
 
 
 class MgError(RuntimeError):

@@ -1,37 +1,37 @@
 """Block-Jacobi smoothers over the cell/projection/flux splitting.
 
-Every sweep is u <- (1 - omega) u + omega S^-1 (b - N u), the damped
-block-Jacobi step u + omega S^-1 (b - A u) in split form: S is the
+Each form of the operator has one home here.  Every sweep is one _sweep
+in split form: block by block, u <- (1 - omega) u + omega S^-1 (b - N u),
+the damped block-Jacobi step u + omega S^-1 (b - A u) with S the
 interior-cell block and N = A - S.  A cell's own half of every flux is
-already in S, so N u is the other half, the product of the records
-across the cell's faces by LocalBlocks.across, and a sweep forms no
-fluxes.  Three sweeps, under four variant names, produce identical
-iterates by different data flow:
+already in S, so N u is the other half, the product of the records across
+the cell's faces by LocalBlocks.across, and a sweep forms no fluxes.  The
+sweeps differ only in their pre-step and in the kernel that writes a
+block's b - N u; under four variant names they give identical iterates:
 
-  vanilla   a block loop reading the 2*dim neighbour cell blocks directly;
-            N u is the condensed neighbour couplings applied per face,
-            plus (D_bnd - D_int) u on a boundary face.
-  stages    three traversals: project cell data to facets, copy the
-            record across every cell face into a store, then b - N u and
-            the update block by block from slices of that store.
-  fused     a single touch of the cells per iteration: one loop over
-            blocks of BLOCK cells gathers the records across each block's
-            cell faces, forms b - N u, the update and the re-projection
-            of the updated cells, in place in the one trace store; a cold
-            state is warmed up first by a projection traversal.  N u of
-            iterate k is always formed from iterate k's traces: before
-            the loop the sweep copies into a halo the records that a block
-            reads across its block boundary (Mesh.opposite_records), which
-            an earlier block or a concurrent task may already have
-            rewritten, and each block takes those rows from the halo.
+  vanilla   reads the 2*dim neighbour cell blocks of the old iterate:
+            N u is the condensed neighbour couplings per face, plus D_int u
+            on a boundary face, which is (D_bnd - D_int) u bit for bit.
+  stages    first projects the cells and copies the record across every
+            cell face into a second store; the kernel reads its slice.
+  fused     a single touch of the cells per iteration: the kernel gathers
+            the records across its block's cell faces from the one trace
+            store, and the updated cells are re-projected in place; a cold
+            state is warmed up first.  N u of iterate k is always formed
+            from iterate k's traces: before the loop the sweep copies into
+            a halo the records that a block reads across its block boundary
+            (Mesh.opposite_records), which an earlier block or a concurrent
+            task may already have rewritten, and each block takes those
+            rows from the halo.
   tasked    another name for fused, kept for the runs that ask for its
             blocks as tasks (workers > 1).
 
-Only the residual traversal (compute_residual_only, which apply_operator
-and the solver's restriction use) still forms fluxes: b - A u with A in
-its three-field form, Acc u and each face's coupling times the face's
-flux, the average of the two records of its facet.  That keeps A u, and
-its exact symmetry at theta = -1, independent of the sweeps.
+The flux form's one home is the residual traversal, compute_residual_only
+(used by apply_operator and the solver's restriction): one block kernel
+averages the records across with the block's own into the fluxes
+(apply_flux) and forms b - Acc u minus each face's coupling times the
+face's fluxes.  That keeps A u, and its exact symmetry at theta = -1,
+independent of the sweeps.
 
 Every traversal (the sweeps, the stages sweep's gather pass, projection,
 residual, the solver's prolongation) is a block loop through
@@ -86,15 +86,14 @@ point is the exact discrete solution.
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import CellField, FacetFlux, FacetProjection, exchange_interface
+from .fields import CellField, FacetProjection, exchange_interface
 from .localops import apply_flux
-from .mesh import is_count, make_partition
+from .mesh import is_count, is_real, make_partition
 
 
 class SmootherError(RuntimeError):
@@ -103,11 +102,6 @@ class SmootherError(RuntimeError):
 
 BLOCK = 2187        # cells per block: 3^7
 INVERSE_MODES = ("precomputed", "percell")
-
-
-def is_real(v):
-    """Whether v is a real number of any kind, bool excepted."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def check_settings(omega, variant, inverse_mode, workers):
@@ -154,22 +148,20 @@ def _rows_mm(U, M, out=None):
 class SweepCounters:
     """Logical data volume moved by the traversals, in scalars.
 
-    One cell block counts (p+1)^dim scalars, one facet record (projection
-    side or flux) counts (p+1)^(dim-1); the value/derivative pair shares a
-    record.  Subdomains share one flux store, so an interface flux is
-    computed once, but it is counted once per touching subdomain, as a
-    distributed run would compute it on both sides.  The fused sweep's
-    halo copy is not counted: the counters model the logical traffic of
-    the traversals, which memory_access_model predicts, and the halo is
-    an artefact of updating the one trace store in place.  Nor do the
-    totals follow the sweeps' split form, which gathers the records across
-    each face and forms no fluxes: a sweep counts the residual of the flux
-    form, the paper's logical traffic, which memory_access_model predicts
-    and acceptance criterion 4 pins.  tasks_spawned
-    and tasks_executed count pool tasks, one per worker's run of blocks of
-    a traversal; a traversal run inline counts none.  traversals counts
-    the passes over the mesh, one per each_block loop; total() leaves it
-    and the task counts out.
+    One cell block counts (p+1)^dim scalars, one facet record (a trace or
+    a flux) (p+1)^(dim-1); the value/derivative pair shares a record.  The
+    totals are those of the flux form, the paper's logical traffic, which
+    memory_access_model predicts and acceptance criterion 4 pins: a sweep
+    counts the fluxes and the residual of that form, although it forms
+    b - N u from the records across each face and no fluxes.  An
+    interface flux is counted once per touching subdomain, as a
+    distributed run would form it on both sides.  The fused sweep's halo
+    copy is not counted; it is an artefact of updating the one trace
+    store in place.  sweeps counts the sweeps, one per _sweep; traversals
+    the passes over the mesh, one per each_block loop; tasks_spawned and
+    tasks_executed the pool tasks, one per worker's run of blocks of a
+    traversal, none for a traversal run inline.  total() leaves out the
+    sweep, traversal and task counts.
     """
 
     cell_reads: int = 0
@@ -198,22 +190,23 @@ class SweepCounters:
 class SmootherState:
     """Solution, right-hand side and facet scratch of one smoother run.
 
-    proj holds the trace store of the current iterate, one store shared by
+    _new_state checks mesh, blocks and partition against each other and
+    against the basis, which the state does not keep.  proj holds the
+    trace store of the current iterate, one FacetProjection shared by
     every subdomain; a subdomain is just its cell range of the partition.
-    The fused sweep re-projects each block into it in place, after copying
-    the records that blocks read across their block boundaries into the
-    halo: _halo_src names those records' rows of the store, and
-    _halo_reads, per block with any, the rows of the block's records
-    across they replace and their rows of the halo.  A mesh of one block
-    has no halo.  flux holds the stages sweep's store of the record across
-    each cell face and is empty for the other variants.  With workers > 1
-    the block loops run on a thread pool, started by the first traversal
-    of more than one block; used as a context manager, the state shuts it
-    down on exit.
+    flux holds the stages sweep's second FacetProjection, the record
+    across each cell face, and is empty for the other variants.  The fused
+    sweep re-projects each block into proj in place, after copying the
+    records that blocks read across their block boundaries into the halo:
+    _halo_src names those records' rows of the store, and _halo_reads, per
+    block with any, the rows of the block's records across they replace
+    and their rows of the halo.  A mesh of one block has no halo.  With
+    workers > 1 the block loops run on a thread pool, started by the first
+    traversal of more than one block; used as a context manager, the state
+    shuts it down on exit.
     """
 
     mesh: object
-    basis: object
     blocks: object
     partition: object
     u: CellField
@@ -368,15 +361,6 @@ class SmootherState:
             out[rows] = self._halo[src]
         return out
 
-    def _face_fluxes(self, lo, hi, out):
-        """The fluxes on every face of cells lo..hi from the current
-        traces, laid out as _records_across lays out the records across:
-        those records, averaged in place with the cell's own.  The average
-        of a boundary record with itself is that record, bit for bit."""
-        k = 2 * self.mesh.dim
-        out = self._records_across(lo, hi, out)
-        return apply_flux(out, self.proj[0].records()[lo * k:hi * k], out=out)
-
     def _count(self, project=False, residual=False, update=False):
         """Add the counts of whole-mesh kernel passes, on the calling
         thread: the re-projection writes 2*dim records per cell; the
@@ -395,46 +379,6 @@ class SmootherState:
             c.cell_reads += 2 * n * bl.nloc
         if update:
             c.cell_writes += n * bl.nloc
-
-    def _subtract_face_terms(self, R, fc, term):
-        """R -= each face's share of the residual of R's cells, one face at
-        a time in (axis, low/high) order: the face's rows of the cell-face
-        fluxes fc (as _face_fluxes lays them out; only read) times its
-        signed [Acf_w | Acf_wp] in LocalBlocks.couplings, on every face."""
-        mesh, bl = self.mesh, self.blocks
-        faces = fc.reshape(len(R), mesh.dim, 2, 2 * bl.nf)
-        term = term[:len(R)]
-        for s, f in np.ndindex(mesh.dim, 2):
-            _rows_mm(faces[:, s, f], bl.couplings[s, f], out=term)
-            R -= term
-
-    def _block_residual(self, lo, hi, R, fc, term):
-        """R = b - A u on cells lo..hi, given their cell-face fluxes fc; R
-        is a C-contiguous (hi - lo, nloc) array, term a scratch buffer of
-        at least as many rows."""
-        _rows_mm(self.u.data[lo:hi], self.blocks.Acc, out=R)
-        np.subtract(self.b.data[lo:hi], R, out=R)
-        self._subtract_face_terms(R, fc, term)
-        return R
-
-    def _gather_residual(self, visit=None):
-        """b - A u from the current traces; one logical traversal, block
-        by block.  Returns the residual; with visit, each block's residual
-        stays in its task's buffer instead, visit(lo, hi, R) is called with
-        it, and nothing is returned."""
-        R = np.empty_like(self.u.data) if visit is None else None
-
-        def block(lo, hi, bufs):
-            fluxes, res, term, _ = bufs
-            out = res[:hi - lo] if R is None else R[lo:hi]
-            self._block_residual(lo, hi, out,
-                                 self._face_fluxes(lo, hi, fluxes), term)
-            if visit is not None:
-                visit(lo, hi, out)
-
-        self.each_block(block)
-        self._count(residual=True)
-        return R
 
     def _split_residual(self, lo, hi, R, across):
         """R = b - N u on cells lo..hi, N = A - S the part of the operator
@@ -492,8 +436,19 @@ def make_state(mesh, basis, blocks, b, partition=None, omega=0.6,
 def _new_state(mesh, basis, blocks, b, u, partition=None, omega=0.6,
                variant="fused", inverse_mode="precomputed", workers=1,
                track_old=False):
-    """make_state on the iterate u, a CellField the state adopts."""
+    """make_state on the iterate u, a CellField the state adopts.
+    SmootherError unless the blocks were built for the mesh's dimension
+    and cell size (to rounding) and for the basis."""
     check_settings(omega, variant, inverse_mode, workers)
+    if blocks.dim != mesh.dim:
+        raise SmootherError(f"{blocks.dim}D blocks do not match the "
+                            f"{mesh.dim}D mesh")
+    if abs(blocks.h - mesh.h) > 1e-12 * mesh.h:
+        raise SmootherError(f"blocks of cell size {blocks.h!r} do not match "
+                            f"the mesh's cell size {mesh.h!r}")
+    if (blocks.kind, blocks.p) != (basis.kind, basis.p):
+        raise SmootherError(f"{blocks.kind} p{blocks.p} blocks do not match "
+                            f"the {basis.kind} p{basis.p} basis")
     if partition is None:
         partition = make_partition(mesh, "balanced", 1)
     if partition.starts[-1] != mesh.ncells:
@@ -505,7 +460,7 @@ def _new_state(mesh, basis, blocks, b, u, partition=None, omega=0.6,
     if bdata.shape != (mesh.ncells, blocks.nloc):
         raise SmootherError("right-hand side shape does not match mesh/basis")
     st = SmootherState(
-        mesh=mesh, basis=basis, blocks=blocks, partition=partition,
+        mesh=mesh, blocks=blocks, partition=partition,
         u=u, b=CellField(bdata), omega=omega,
         variant=variant, inverse_mode=inverse_mode, workers=workers,
         track_old=track_old,
@@ -516,7 +471,7 @@ def _new_state(mesh, basis, blocks, b, u, partition=None, omega=0.6,
     if st.sweep_reads_traces:
         _build_halo(st)
     if variant == "stages":
-        st.flux = [FacetFlux.zeros(mesh.ncells, mesh.dim, blocks.nf)]
+        st.flux = [FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)]
     rows = _block(mesh.ncells)
     st._bufs = [(np.empty((rows * 2 * mesh.dim, 2 * blocks.nf)),
                  np.empty((rows, blocks.nloc)), np.empty((rows, blocks.nloc)),
@@ -545,39 +500,49 @@ def _build_halo(st):
 
 # -- sweeps ------------------------------------------------------------------
 
-def sweep_vanilla(state):
-    """One block-Jacobi iteration reading neighbour cells directly, block
-    by block from the old iterate: N u is the neighbour couplings, and on
-    a boundary face (D_bnd - D_int) u; a boundary face's gather reads the
-    old iterate's zero last row, so boundary cells issue the same 2*dim
-    block reads."""
-    mesh, bl = state.mesh, state.blocks
-    state._backup_old()
-    U = state._old      # u itself is updated in place below
-
+def _sweep(state, pre_residual):
+    """The split-form step every sweep ends with: block by block,
+    pre_residual(lo, hi, R, bufs) writes b - N u of cells lo..hi into the
+    block buffer R, and _relax updates the cells from it; then the update
+    and the sweep are counted."""
     def block(lo, hi, bufs):
-        _, R, term, _ = bufs
-        R, term, nb = R[:hi - lo], term[:hi - lo], mesh.neighbors[lo:hi]
-        R[:] = state.b.data[lo:hi]
-        for s, f in np.ndindex(mesh.dim, 2):
-            R -= _rows_mm(U[nb[:, s, f]], bl.Nb[s, f], out=term)
-            bnd = np.flatnonzero(nb[:, s, f] < 0)
-            if bnd.size:    # one product per block and face: see module doc
-                R[bnd] -= _rows_mm(U[lo + bnd],
-                                   bl.D_bnd[s, f] - bl.D_int[s, f])
-        state._relax(lo, R, term)
+        R = bufs[1][:hi - lo]
+        pre_residual(lo, hi, R, bufs)
+        state._relax(lo, R, bufs[2])
 
     state.update_blocks(block)
-    state.counters.cell_reads += (2 + 2 * mesh.dim) * mesh.ncells * bl.nloc
     state._count(update=True)
     state.counters.sweeps += 1
     return state
 
 
+def sweep_vanilla(state):
+    """One block-Jacobi iteration reading neighbour cells directly, block
+    by block from the old iterate: N u is the neighbour couplings, and on
+    a boundary face D_int u, which is (D_bnd - D_int) u; a boundary face's
+    gather reads the old iterate's zero last row, so boundary cells issue
+    the same 2*dim block reads."""
+    mesh, bl = state.mesh, state.blocks
+    state._backup_old()
+    U = state._old      # u itself is updated in place
+    state.counters.cell_reads += (2 + 2 * mesh.dim) * mesh.ncells * bl.nloc
+
+    def pre_residual(lo, hi, R, bufs):
+        term, nb = bufs[2][:hi - lo], mesh.neighbors[lo:hi]
+        R[:] = state.b.data[lo:hi]
+        for s, f in np.ndindex(mesh.dim, 2):
+            R -= _rows_mm(U[nb[:, s, f]], bl.Nb[s, f], out=term)
+            bnd = np.flatnonzero(nb[:, s, f] < 0)
+            if bnd.size:    # one product per block and face: see module doc
+                R[bnd] -= _rows_mm(U[lo + bnd], bl.D_int[s, f])
+
+    return _sweep(state, pre_residual)
+
+
 def sweep_stages(state):
     """One iteration as three separate traversals: project, copy the
-    record across every cell face into the flux store, then b - N u and
-    the update block by block from slices of that store."""
+    record across every cell face into the second store, then b - N u
+    and the update block by block from slices of that store."""
     state.warm_up()
     if state.track_old:
         state._backup_old()
@@ -585,16 +550,9 @@ def sweep_stages(state):
     k = 2 * state.mesh.dim
     state.each_block(lambda lo, hi, _: state._records_across(
         lo, hi, store[lo * k:hi * k]))
-
-    def block(lo, hi, bufs):
-        _, res, term, _ = bufs
-        state._relax(lo, state._split_residual(
-            lo, hi, res[:hi - lo], store[lo * k:hi * k]), term)
-
-    state.update_blocks(block)
-    state._count(residual=True, update=True)
-    state.counters.sweeps += 1
-    return state
+    state._count(residual=True)
+    return _sweep(state, lambda lo, hi, R, _: state._split_residual(
+        lo, hi, R, store[lo * k:hi * k]))
 
 
 def sweep_fused(state):
@@ -614,17 +572,9 @@ def sweep_fused(state):
         state._backup_old()
     np.take(state.proj[0].records(), state._halo_src, axis=0,
             out=state._halo, mode="clip")
-
-    def block(lo, hi, bufs):
-        across, res, term, _ = bufs
-        state._relax(lo, state._split_residual(
-            lo, hi, res[:hi - lo],
-            state._records_across(lo, hi, across, halo=True)), term)
-
-    state.update_blocks(block)
-    state._count(residual=True, update=True)
-    state.counters.sweeps += 1
-    return state
+    state._count(residual=True)
+    return _sweep(state, lambda lo, hi, R, bufs: state._split_residual(
+        lo, hi, R, state._records_across(lo, hi, bufs[0], halo=True)))
 
 
 SWEEPS = {
@@ -640,18 +590,39 @@ def sweep(state):
 
 
 def compute_residual_only(state, visit=None):
-    """b - A u as one traversal, leaving u and the projections untouched.
+    """b - A u in the flux form as one traversal, leaving u and the
+    projections untouched.
 
     Warm states reuse their projections; cold states (vanilla/stages or a
-    freshly set solution) run warm_up() first.  Returns the
-    residual as a CellField; with visit, each block's residual stays in a
-    block buffer and visit(lo, hi, R) receives it while its rows are in
-    cache (on a pool thread when the state has one), and None is returned.
+    freshly set solution) run warm_up() first.  Returns the residual as a
+    CellField; with visit, each block's residual stays in a block buffer
+    and visit(lo, hi, R) receives it while its rows are in cache (on a
+    pool thread when the state has one), and None is returned.
     """
     if not state.warm:
         state.warm_up()
-    R = state._gather_residual(visit)
-    return None if R is None else CellField(R)
+    mesh, bl = state.mesh, state.blocks
+    k = 2 * mesh.dim
+    own = state.proj[0].records()
+    out = np.empty_like(state.u.data) if visit is None else None
+
+    def block(lo, hi, bufs):
+        fluxes, R, term, _ = bufs
+        R = R[:hi - lo] if out is None else out[lo:hi]
+        fluxes = state._records_across(lo, hi, fluxes)
+        apply_flux(fluxes, own[lo * k:hi * k], out=fluxes)
+        faces = fluxes.reshape(hi - lo, mesh.dim, 2, 2 * bl.nf)
+        _rows_mm(state.u.data[lo:hi], bl.Acc, out=R)
+        np.subtract(state.b.data[lo:hi], R, out=R)
+        for s, f in np.ndindex(mesh.dim, 2):    # in (axis, low/high) order
+            R -= _rows_mm(faces[:, s, f], bl.couplings[s, f],
+                          out=term[:hi - lo])
+        if visit is not None:
+            visit(lo, hi, R)
+
+    state.each_block(block)
+    state._count(residual=True)
+    return None if out is None else CellField(out)
 
 
 def apply_operator(mesh, basis, blocks, U, partition=None):

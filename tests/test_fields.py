@@ -3,7 +3,6 @@ import pytest
 
 from hpmg import (
     CellField,
-    FacetFlux,
     FacetProjection,
     FieldError,
     exchange_interface,
@@ -53,9 +52,6 @@ def test_facet_containers_shapes():
     assert proj.written.shape == (24, 2, 2)
     assert not proj.written.any()
     assert proj.records().shape == (24 * 2 * 2, 2 * 3)
-    flux = FacetFlux.zeros(24, 2, 3)
-    assert flux.data.shape == (24, 2, 2, 2, 3)
-    assert flux.records().shape == (24 * 2 * 2, 2 * 3)
 
 
 def test_exchange_single_part_is_identity():

@@ -160,6 +160,45 @@ def test_zero_penalty_is_rejected():
     build_local_blocks(basis, 2, 1.0 / 3.0, theta=-1.0, penalty_const=1e-9)
 
 
+@pytest.mark.parametrize("name, value, match", [
+    ("dim", 2.0, "dim must be 2 or 3"),
+    ("h", 0.0, "cell size h must be positive"),
+    ("h", -1.0 / 3.0, "cell size h must be positive"),
+    ("h", "0.3", "h must be a finite real number"),
+    ("h", True, "h must be a finite real number"),
+    ("h", float("nan"), "h must be a finite real number"),
+    ("h", float("inf"), "h must be a finite real number"),
+    ("theta", None, "theta must be a finite real number"),
+    ("theta", float("nan"), "theta must be a finite real number"),
+    ("penalty_const", -1.0, "penalty_const must be >= 0"),
+    ("penalty_const", True, "penalty_const must be a finite real number"),
+    ("penalty_const", float("inf"),
+     "penalty_const must be a finite real number"),
+])
+def test_bad_assembly_inputs_are_rejected(name, value, match):
+    # checked before any of them is used: h = 0 would otherwise divide by
+    # zero in default_penalty, and a negative penalty would assemble
+    args = dict(dim=2, h=1.0 / 3.0, theta=-1.0, penalty_const=1.0)
+    args[name] = value
+    with pytest.raises(AssemblyError, match=match):
+        build_local_blocks(make_basis("lobatto", 2), **args)
+
+
+@pytest.mark.parametrize("kind", ["lobatto", "legendre"])
+@pytest.mark.parametrize("dim, degrees", [(2, range(1, 10)),
+                                          (3, range(1, 6))])
+def test_boundary_diagonal_is_twice_the_interior_one_bitwise(kind, dim,
+                                                             degrees):
+    # vanilla's boundary term reads D_int for D_bnd - D_int: the interior
+    # facet term is the boundary one halved, exactly
+    for p in degrees:
+        basis = make_basis(kind, p)
+        for h in (1.0, 1.0 / 3.0, 1.0 / 243.0):
+            bl = build_local_blocks(basis, dim, h)
+            assert np.array_equal(bl.D_bnd - bl.D_int, bl.D_int), (p, h)
+            assert np.array_equal(bl.D_bnd, 2.0 * bl.D_int), (p, h)
+
+
 def test_true_diagonal_accounts_for_boundary_faces():
     mesh = mesh_at(1)
     basis = make_basis("lobatto", 2)

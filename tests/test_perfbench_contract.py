@@ -64,6 +64,29 @@ def test_every_workload_config_validates():
         assert cfg.variant in SWEEPS, name
 
 
+@pytest.mark.parametrize("name, cycles, total, traversals", [
+    ("fine-p3", 11, 194217264, 45),
+    ("parts8-p6", 27, 122926167, 109),
+    ("coarse-exact-p1", 4, 28118988, 17),
+    ("tasked-p3", 15, 3269808, 61),
+])
+def test_workload_solves_keep_their_integer_invariants(name, cycles, total,
+                                                       traversals):
+    # each workload's solve at seed 0, as the benchmark sets it up: a
+    # change to convergence or to the traversal accounting shows here.
+    # The counts follow from the cycle count, so they do not depend on
+    # the BLAS build's rounding as long as the cycle count holds
+    workloads = _load("workloads")
+    w = workloads.WORKLOADS[name]
+    case, _ = workloads.set_up(w)
+    res = solve(case.mesh, case.basis, case.blocks,
+                workloads.make_rhs(case, 0), w.config(),
+                partition=case.partition, cspace=case.cspace)
+    assert res.trace.converged
+    assert (res.trace.cycles, res.counters.total(),
+            res.counters.traversals) == (cycles, total, traversals)
+
+
 def _hpmg_imports():
     for path in sorted(PERFBENCH.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -9,8 +9,10 @@ from hpmg import (
     CellField,
     SmootherError,
     apply_operator,
+    build_local_blocks,
     build_rhs,
     get_problem,
+    make_basis,
     make_partition,
     make_state,
     memory_access_model,
@@ -547,6 +549,20 @@ def test_state_validation():
                    partition=make_partition(mesh_at(2), "balanced", 4))
     with pytest.raises(SmootherError, match="shape"):
         make_state(mesh, basis, blocks, CellField.zeros(mesh.ncells, 3))
+    # blocks built for another cell size, degree or dimension
+    with pytest.raises(SmootherError, match="cell size 1.0 do not match"):
+        make_state(mesh, basis, build_local_blocks(basis, 2, 1.0), b)
+    with pytest.raises(SmootherError,
+                       match="lobatto p2 blocks do not match the lobatto p3"):
+        make_state(mesh, make_basis("lobatto", 3), blocks, b)
+    p1 = make_basis("lobatto", 1)
+    cube = build_local_blocks(p1, 3, mesh.h)
+    # b of (ncells, 8) passes the shape check, which reads blocks.nloc
+    b8 = CellField.zeros(mesh.ncells, cube.nloc)
+    with pytest.raises(SmootherError, match="3D blocks do not match"):
+        make_state(mesh, p1, cube, b8)
+    with pytest.raises(SmootherError, match="3D blocks do not match"):
+        apply_operator(mesh, p1, cube, b8)
     # an operand that is not one row per cell: a single row would
     # broadcast over every cell
     for bad in (np.ones(blocks.nloc), np.ones(mesh.ncells * blocks.nloc)):
