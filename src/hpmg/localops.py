@@ -91,7 +91,10 @@ class LocalBlocks:
     rows of traces is D_int[s, f]), so the product of the records across
     a cell's faces by across is N u, with N = A - S the part of the
     operator off the interior block; a boundary face's record across is
-    its own, which adds D_bnd - D_int.
+    its own, which adds D_bnd - D_int.  corner_traces (2*dim*2*nf, 2^dim)
+    is traces @ P_loc: the traces of a bilinear given by its 2^dim corner
+    values, so a coarse correction's traces are one product by its
+    corners.
     """
 
     kind: str
@@ -118,6 +121,7 @@ class LocalBlocks:
     traces: np.ndarray = field(init=False)
     couplings: np.ndarray = field(init=False)
     across: np.ndarray = field(init=False)
+    corner_traces: np.ndarray = field(init=False)
 
     def __post_init__(self):
         low_high = np.array([-1.0, 1.0])[:, None, None]
@@ -127,6 +131,7 @@ class LocalBlocks:
                                                     axis=3)
         self.across = 0.5 * np.moveaxis(self.couplings, 2, 0).reshape(
             self.nloc, -1)
+        self.corner_traces = self.traces @ self.P_loc
 
     def assemble_true_diagonal(self, boundary_faces):
         """Diagonal block of a cell whose faces (s, f) in the set are on
@@ -160,6 +165,17 @@ def _condense(Tval, Tder, f, a_w, a_wp=None):
     return sig * d_int, -1.0 * d_bnd, sig * nb
 
 
+def _check_finite_real(name, v):
+    if not (is_real(v) and math.isfinite(v)):
+        raise AssemblyError(f"{name} must be a finite real number, got {v!r}")
+
+
+def _check_cell_size(h):
+    _check_finite_real("h", h)
+    if h <= 0:
+        raise AssemblyError(f"cell size h must be positive, got {h!r}")
+
+
 def build_local_blocks(basis, dim, h, theta=-1.0, penalty_const=1.0):
     """Assemble every block for cells of size h^dim, with the penalty
     default_penalty(p, h, penalty_const).  AssemblyError unless dim is
@@ -167,13 +183,9 @@ def build_local_blocks(basis, dim, h, theta=-1.0, penalty_const=1.0):
     numbers, h > 0 and penalty_const >= 0."""
     if not is_count(dim) or dim not in (2, 3):
         raise AssemblyError(f"dim must be 2 or 3, got {dim!r}")
-    for name, v in (("h", h), ("theta", theta),
-                    ("penalty_const", penalty_const)):
-        if not (is_real(v) and math.isfinite(v)):
-            raise AssemblyError(f"{name} must be a finite real number, "
-                                f"got {v!r}")
-    if h <= 0:
-        raise AssemblyError(f"cell size h must be positive, got {h!r}")
+    _check_cell_size(h)
+    for name, v in (("theta", theta), ("penalty_const", penalty_const)):
+        _check_finite_real(name, v)
     if penalty_const < 0:
         raise AssemblyError(f"penalty_const must be >= 0, got "
                             f"{penalty_const!r}")
@@ -250,10 +262,12 @@ def predict_blocks(unit, h):
     The penalty part of a facet term is its condensation with the value
     coupling -Tval^T Mf alone.  gamma at size h is unit.gamma / h: the
     penalty scales as 1/h, and unit.gamma carries the unit's penalty_const.
-    Returns a dict of predicted arrays.
+    Returns a dict of predicted arrays.  AssemblyError unless h is a
+    finite real number > 0, as build_local_blocks requires.
     """
     if unit.h != 1.0:
         raise AssemblyError("prediction needs blocks assembled at h = 1")
+    _check_cell_size(h)
     d = unit.dim
     g1 = unit.gamma
     gamma = g1 / h

@@ -12,19 +12,22 @@ ring that the kernels read but never write: no masks, no padding.
 Traversal accounting with the one-traversal smoother: one warm-up
 projection traversal, run by the first traversal of a cold state, then
 per cycle nu smoothing traversals, one residual traversal that also
-restricts, and one prolongation traversal that adds the correction and
-re-projects the updated cells (a converged solve discards the last
-re-projection).  A run of n cycles touches the mesh n*(nu+2)+1 times.
-The vanilla and stages sweeps read no traces a traversal before them
-wrote, so they run neither the warm-up nor the re-projection.  Each
-traversal counts itself in counters.traversals; solve() only orders them
-on the smoother's block engine: the residual traversal keeps each
-block's residual in a block buffer and writes its rows of the vertex
-contributions R P_loc and its partial norms; the prolongation traversal
-forms each block's correction rows, adds them, and forms the change of
-the iterate and its partial norms.  Partial norms combine in block
-order.  Only the vertex load, one bincount over the contributions, runs
-over the whole mesh.
+restricts, and one prolongation traversal that adds the correction to
+the cells and its traces to the trace store (a converged solve discards
+the last of these).  The correction is a bilinear with 2^dim
+coefficients per cell, its corner values, so its traces are one product
+by LocalBlocks.corner_traces per block, added to the block's rows of the
+store; no re-projection of the corrected cells follows.  A run of n
+cycles touches the mesh n*(nu+2)+1 times.  The vanilla and stages sweeps
+read no traces a traversal before them wrote, so they run neither the
+warm-up nor the trace update.  Each traversal counts itself in
+counters.traversals; solve() only orders them on the smoother's block
+engine: the residual traversal keeps each block's residual in a block
+buffer and writes its rows of the vertex contributions R P_loc and its
+partial norms; the prolongation traversal forms each block's correction
+rows, adds them, and forms the change of the iterate and its partial
+norms.  Partial norms combine in block order.  Only the vertex load,
+one bincount over the contributions, runs over the whole mesh.
 
 Stopping is either on the residual recorded in the restriction traversal
 (criterion "unprec", no extra work) or on the difference of consecutive
@@ -377,14 +380,15 @@ def _prolongation_tail(state, E, snapshot, ref):
     """The prolongation traversal: each block adds its rows of the
     prolonged correction E to u, forms the change against the snapshot
     and then copies u's rows into it, and, given a reference, forms the
-    error; the state re-projects the block when its sweep reads traces.
-    Returns the (l2, linf) norms of the change and of the error
-    (None without a reference)."""
+    error.  When the sweep reads traces, the block's rows of the store
+    then receive the correction's traces, corner_traces times the cells'
+    corner values, in place of a re-projection.  Returns the (l2, linf)
+    norms of the change and of the error (None without a reference)."""
     mesh, blocks, u = state.mesh, state.blocks, state.u.data
     change, error = {}, {}
 
     def block(lo, hi, bufs):
-        _, rows, _, corner = bufs
+        _, rows, _, corner = bufs[:4]
         rows, rows_u = rows[:hi - lo], u[lo:hi]
         rows_u += _prolong_rows(mesh, blocks, E, lo, hi, corner[:hi - lo],
                                 out=rows)
@@ -395,7 +399,7 @@ def _prolongation_tail(state, E, snapshot, ref):
             np.subtract(rows_u, ref[lo:hi], out=rows)
             error[lo] = norm_parts(rows)
 
-    state.update_blocks(block)
+    state.update_blocks(block, state._add_corner_traces)
     return combine_norms(change), combine_norms(error) if error else None
 
 

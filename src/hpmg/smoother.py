@@ -1,17 +1,27 @@
 """Block-Jacobi smoothers over the cell/projection/flux splitting.
 
 Each form of the operator has one home here.  Every sweep is one _sweep
-in split form: block by block, u <- (1 - omega) u + omega S^-1 (b - N u),
-the damped block-Jacobi step u + omega S^-1 (b - A u) with S the
-interior-cell block and N = A - S.  A cell's own half of every flux is
-already in S, so N u is the other half, the product of the records across
-the cell's faces by LocalBlocks.across, and a sweep forms no fluxes.  The
-sweeps differ only in their pre-step and in the kernel that writes a
-block's b - N u; under four variant names they give identical iterates:
+in split form: block by block, u <- (1 - omega) u + c - Q, the damped
+block-Jacobi step u + omega S^-1 (b - A u) with S the interior-cell block
+and N = A - S, c = omega S^-1 b and Q = omega S^-1 N u.  A cell's own half
+of every flux is already in S, so N u is the other half, the product of
+the records across the cell's faces by LocalBlocks.across, and a sweep
+forms no fluxes.  c depends on b only: the state's first sweep builds it
+and the state keeps it.  Q is one product per block and face term by a
+stack precomposed with omega S^-1 once per state (_step_stacks), so a
+block runs no product by S^-1 of its own.  Percell mode instead forms the
+stacks and the block's rows of c on every block visit and keeps nothing,
+with the same arithmetic, so its iterates are those of precomputed mode
+bit for bit.  The sweeps differ only in their pre-step and in the kernel
+that writes a block's Q; under four variant names they give identical
+iterates:
 
-  vanilla   reads the 2*dim neighbour cell blocks of the old iterate:
-            N u is the condensed neighbour couplings per face, plus D_int u
-            on a boundary face, which is (D_bnd - D_int) u bit for bit.
+  vanilla   reads the 2*dim neighbour cell blocks of the old iterate,
+            gathered face by face into a reused block buffer: Q is the
+            neighbour couplings per face by omega S^-1 Nb, plus
+            omega S^-1 D_int u on a boundary face, which is
+            omega S^-1 (D_bnd - D_int) u bit for bit; the first sweep
+            finds every block's boundary rows per face.
   stages    first projects the cells and copies the record across every
             cell face into a second store; the kernel reads its slice.
   fused     a single touch of the cells per iteration: the kernel gathers
@@ -36,10 +46,12 @@ independent of the sweeps.
 Every traversal (the sweeps, the stages sweep's gather pass, projection,
 residual, the solver's prolongation) is a block loop through
 SmootherState.each_block, those that change u through update_blocks,
-which re-projects their blocks when the sweep reads traces.  With one
-worker, or a mesh of one block, that is a plain loop; otherwise the
-state's thread pool runs one task per worker over a contiguous run of
-blocks, each task with its own block buffers.  A block reads iterate
+which brings their blocks' traces up to date when the sweep reads
+traces: a sweep re-projects its blocks, and the solver's correction adds
+the traces of its bilinear from the cells' corners (_add_corner_traces).
+With one worker, or a mesh of one block, that is a plain loop; otherwise
+the state's thread pool runs one task per worker over a contiguous run
+of blocks, each task with its own block buffers.  A block reads iterate
 k's traces only: its own rows of the store, which no other task writes,
 and the halo, which no task writes (what its gather read across the
 block boundary is replaced from the halo).  It writes only its own rows
@@ -152,12 +164,13 @@ class SweepCounters:
     a flux) (p+1)^(dim-1); the value/derivative pair shares a record.  The
     totals are those of the flux form, the paper's logical traffic, which
     memory_access_model predicts and acceptance criterion 4 pins: a sweep
-    counts the fluxes and the residual of that form, although it forms
-    b - N u from the records across each face and no fluxes.  An
-    interface flux is counted once per touching subdomain, as a
-    distributed run would form it on both sides.  The fused sweep's halo
-    copy is not counted; it is an artefact of updating the one trace
-    store in place.  sweeps counts the sweeps, one per _sweep; traversals
+    counts the fluxes and the residual of that form, which reads b,
+    although it forms Q from the records across each face and no fluxes,
+    and reads c = omega S^-1 b in place of b; neither c's build nor its
+    read is counted.  An interface flux is counted once per touching
+    subdomain, as a distributed run would form it on both sides.  The
+    fused sweep's halo copy is not counted; it is an artefact of updating
+    the one trace store in place.  sweeps counts the sweeps, one per _sweep; traversals
     the passes over the mesh, one per each_block loop; tasks_spawned and
     tasks_executed the pool tasks, one per worker's run of blocks of a
     traversal, none for a traversal run inline.  total() leaves out the
@@ -200,10 +213,13 @@ class SmootherState:
     records that blocks read across their block boundaries into the halo:
     _halo_src names those records' rows of the store, and _halo_reads, per
     block with any, the rows of the block's records across they replace
-    and their rows of the halo.  A mesh of one block has no halo.  With
-    workers > 1 the block loops run on a thread pool, started by the first
-    traversal of more than one block; used as a context manager, the state
-    shuts it down on exit.
+    and their rows of the halo.  A mesh of one block has no halo.  In
+    precomputed mode the first sweep builds c = omega S^-1 b and the
+    step's stacks (_step_stacks), and the state keeps them; percell mode
+    and a state that is never swept, like apply_operator's, hold neither.
+    With workers > 1 the block loops run on a thread pool, started by the
+    first traversal of more than one block; used as a context manager,
+    the state shuts it down on exit.
     """
 
     mesh: object
@@ -222,13 +238,17 @@ class SmootherState:
     warm: bool = False
     u_old: CellField = None
     _old: np.ndarray = None     # u_old and a zero row for neighbour id -1
-    _omega_sinv: np.ndarray = None  # omega S^-1, in precomputed mode
+    _stacks: tuple = None       # the step's stacks, in precomputed mode
+    _c: np.ndarray = None       # omega S^-1 b, in precomputed mode
     _executor: object = None
     _halo: np.ndarray = None    # copies of the records read across blocks
     _halo_src: np.ndarray = None  # their rows of the store
     _halo_reads: dict = None    # block lo -> (its rows across, halo rows)
+    _bnd_rows: dict = None      # vanilla: block lo -> per face, (its
+                                # boundary rows, their cell ids)
     _bufs: list = None  # per task: a block's (records across or fluxes,
-                        # residual, face term or step, corner values)
+                        # residual or Q, face term or c, corner values,
+                        # and for vanilla a face's neighbour cells and ids)
 
     def close(self):
         if self._executor is not None:
@@ -324,24 +344,41 @@ class SmootherState:
             task.result()
         self.counters.tasks_executed += ntasks
 
-    def update_blocks(self, fn):
-        """each_block for a loop that changes u; when the sweep reads
-        traces, each block is re-projected after fn and the state ends
-        warm, else its traces are stale and it ends cold."""
+    def update_blocks(self, fn, retrace=None):
+        """each_block for a loop that changes u.  When the sweep reads
+        traces, each block's rows of the store are brought up to date
+        after fn, by retrace(lo, hi, bufs) if given, else by re-projecting
+        the block, and the state ends warm; else its traces are stale and
+        it ends cold."""
         reproject = self.sweep_reads_traces
         if reproject:
             self.proj[0].written[:] = False
+            if retrace is None:
+                retrace = lambda lo, hi, _: self._project_range(lo, hi)
 
         def block(lo, hi, bufs):
             fn(lo, hi, bufs)
             if reproject:
-                self._project_range(lo, hi)
+                retrace(lo, hi, bufs)
 
         self.each_block(block)
         if reproject:
             self._count(project=True)
             exchange_interface(self.proj[0], self.partition)
         self.warm = reproject
+
+    def _add_corner_traces(self, lo, hi, bufs):
+        """Add the traces of a bilinear change of cells lo..hi, given by
+        its values at the cells' corners in the block's corner buffer, to
+        their rows of the store: one product by LocalBlocks.corner_traces,
+        through the block's records-across buffer.  Marks the rows
+        written."""
+        n, proj = hi - lo, self.proj[0]
+        step = _rows_mm(bufs[3][:n], self.blocks.corner_traces,
+                        out=bufs[0][:n * 2 * self.mesh.dim].reshape(n, -1))
+        rows = proj.data[lo:hi].reshape(n, -1)
+        rows += step
+        proj.written[lo:hi] = True
 
     def _records_across(self, lo, hi, out, halo=False):
         """The record across every face of cells lo..hi, one row per
@@ -380,35 +417,28 @@ class SmootherState:
         if update:
             c.cell_writes += n * bl.nloc
 
-    def _split_residual(self, lo, hi, R, across):
-        """R = b - N u on cells lo..hi, N = A - S the part of the operator
-        off the interior block: one product of the records across the
-        cells' faces (across, laid out as _records_across lays them out)
-        by LocalBlocks.across.  R is a C-contiguous (hi - lo, nloc)
-        array."""
-        _rows_mm(across.reshape(hi - lo, -1), self.blocks.across, out=R)
-        np.subtract(self.b.data[lo:hi], R, out=R)
-        return R
-
-    def _step_inverse(self):
-        """omega times the interior block inverse; percell mode redoes
-        assembly and factorisation on every visit and keeps nothing."""
-        if self.inverse_mode == "precomputed":
-            return self._omega_sinv
+    def _step_stacks(self):
+        """omega S^-1 and the stacks of Q = omega S^-1 N u, precomposed:
+        omega S^-1 across for the sweeps that read the records across,
+        omega S^-1 Nb and omega S^-1 D_int, face by face, for vanilla.
+        Precomputed mode builds them once per state; percell mode redoes
+        assembly, factorisation and composition on every call, once per
+        block visit, and keeps nothing."""
+        if self._stacks is not None:
+            return self._stacks
         bl = self.blocks
-        return self.omega * np.linalg.inv(
-            bl.Acc + sum(bl.D_int.reshape(-1, bl.nloc, bl.nloc)))
-
-    def _relax(self, lo, R, term):
-        """u = (1 - omega) u + omega S^-1 R on cells lo.., R = b - N u: the
-        update of every sweep, u + omega S^-1 (b - A u) in split form.  One
-        product, formed in term (a scratch buffer of at least len(R)
-        rows); percell mode re-forms the inverse on every call, so once
-        per block visit."""
-        step = _rows_mm(R, self._step_inverse(), out=term[:len(R)])
-        u = self.u.data[lo:lo + len(R)]
-        u *= 1.0 - self.omega
-        u += step
+        if self.inverse_mode == "precomputed":
+            osinv = self.omega * bl.Sinv
+        else:
+            osinv = self.omega * np.linalg.inv(
+                bl.Acc + sum(bl.D_int.reshape(-1, bl.nloc, bl.nloc)))
+        if self.variant == "vanilla":
+            stacks = (osinv, osinv @ bl.Nb, osinv @ bl.D_int)
+        else:
+            stacks = (osinv, osinv @ bl.across)
+        if self.inverse_mode == "precomputed":
+            self._stacks = stacks
+        return stacks
 
     def _backup_old(self):
         """u into the old iterate, kept across sweeps with a zero last row
@@ -465,8 +495,6 @@ def _new_state(mesh, basis, blocks, b, u, partition=None, omega=0.6,
         variant=variant, inverse_mode=inverse_mode, workers=workers,
         track_old=track_old,
     )
-    if inverse_mode == "precomputed":
-        st._omega_sinv = omega * blocks.Sinv
     st.proj = [FacetProjection.zeros(mesh.ncells, mesh.dim, blocks.nf)]
     if st.sweep_reads_traces:
         _build_halo(st)
@@ -498,17 +526,48 @@ def _build_halo(st):
             st._halo_reads[lo] = (rows[a:b] - lo * k, slice(a, b))
 
 
+def _build_boundary_rows(st):
+    """Vanilla's tables, built by its first sweep: per block, per face in
+    (axis, low/high) order, the block's rows on the boundary and their
+    cell ids; and for every task two more block buffers, for a face's
+    neighbour cells and their ids."""
+    nb = st.mesh.neighbors
+    st._bnd_rows = {}
+    for lo, hi in st._blocks():
+        rows = [np.flatnonzero(nb[lo:hi, s, f] < 0)
+                for s, f in np.ndindex(st.mesh.dim, 2)]
+        st._bnd_rows[lo] = [(r, lo + r) for r in rows]
+    size = _block(st.mesh.ncells)
+    st._bufs = [bufs + (np.empty((size, st.blocks.nloc)),
+                        np.empty(size, dtype=np.intp))
+                for bufs in st._bufs]
+
+
 # -- sweeps ------------------------------------------------------------------
 
-def _sweep(state, pre_residual):
+def _sweep(state, kernel):
     """The split-form step every sweep ends with: block by block,
-    pre_residual(lo, hi, R, bufs) writes b - N u of cells lo..hi into the
-    block buffer R, and _relax updates the cells from it; then the update
-    and the sweep are counted."""
+    kernel(lo, hi, Q, stacks, bufs) writes Q = omega S^-1 N u of cells
+    lo..hi into the block buffer Q, one product by a stack of
+    _step_stacks per face term, and u <- (1 - omega) u + c - Q with
+    c = omega S^-1 b; then the update and the sweep are counted.  In
+    precomputed mode the state's first sweep builds c in whole blocks and
+    keeps it; percell mode forms the block's rows of c on every visit."""
+    if state.inverse_mode == "precomputed" and state._c is None:
+        state._c = _rows_mm(state.b.data, state._step_stacks()[0])
+
     def block(lo, hi, bufs):
-        R = bufs[1][:hi - lo]
-        pre_residual(lo, hi, R, bufs)
-        state._relax(lo, R, bufs[2])
+        n = hi - lo
+        stacks = state._step_stacks()
+        Q = kernel(lo, hi, bufs[1][:n], stacks, bufs)
+        if state._c is None:
+            c = _rows_mm(state.b.data[lo:hi], stacks[0], out=bufs[2][:n])
+        else:
+            c = state._c[lo:hi]
+        np.subtract(c, Q, out=Q)
+        u = state.u.data[lo:hi]
+        u *= 1.0 - state.omega
+        u += Q
 
     state.update_blocks(block)
     state._count(update=True)
@@ -519,30 +578,52 @@ def _sweep(state, pre_residual):
 def sweep_vanilla(state):
     """One block-Jacobi iteration reading neighbour cells directly, block
     by block from the old iterate: N u is the neighbour couplings, and on
-    a boundary face D_int u, which is (D_bnd - D_int) u; a boundary face's
-    gather reads the old iterate's zero last row, so boundary cells issue
-    the same 2*dim block reads."""
+    a boundary face D_int u, which is (D_bnd - D_int) u.  Each face's
+    neighbour cells are gathered into a reused block buffer; a boundary
+    face's gather reads the old iterate's zero last row, so boundary cells
+    issue the same 2*dim block reads."""
     mesh, bl = state.mesh, state.blocks
+    if state._bnd_rows is None:
+        _build_boundary_rows(state)
     state._backup_old()
     U = state._old      # u itself is updated in place
     state.counters.cell_reads += (2 + 2 * mesh.dim) * mesh.ncells * bl.nloc
 
-    def pre_residual(lo, hi, R, bufs):
-        term, nb = bufs[2][:hi - lo], mesh.neighbors[lo:hi]
-        R[:] = state.b.data[lo:hi]
-        for s, f in np.ndindex(mesh.dim, 2):
-            R -= _rows_mm(U[nb[:, s, f]], bl.Nb[s, f], out=term)
-            bnd = np.flatnonzero(nb[:, s, f] < 0)
-            if bnd.size:    # one product per block and face: see module doc
-                R[bnd] -= _rows_mm(U[lo + bnd], bl.D_int[s, f])
+    def kernel(lo, hi, Q, stacks, bufs):
+        _, on_nb, on_bnd = stacks
+        n = hi - lo
+        term, cells, nb = bufs[2][:n], bufs[4][:n], bufs[5][:n]
+        faces = zip(np.ndindex(mesh.dim, 2), state._bnd_rows[lo])
+        for i, ((s, f), (rows, ids)) in enumerate(faces):
+            # a contiguous copy of the face's neighbour ids, which take
+            # would otherwise make; id -1 wraps to the zero last row
+            np.copyto(nb, mesh.neighbors[lo:hi, s, f])
+            np.take(U, nb, axis=0, out=cells, mode="wrap")
+            if i == 0:
+                _rows_mm(cells, on_nb[s, f], out=Q)
+            else:
+                Q += _rows_mm(cells, on_nb[s, f], out=term)
+            if rows.size:   # one product per block and face: see module doc
+                m = rows.size
+                np.take(U, ids, axis=0, out=cells[:m], mode="clip")
+                Q[rows] += _rows_mm(cells[:m], on_bnd[s, f], out=term[:m])
+        return Q
 
-    return _sweep(state, pre_residual)
+    return _sweep(state, kernel)
+
+
+def _across_kernel(records):
+    """The kernel of the sweeps that read the records across: Q is one
+    product of the block's records across, records(lo, hi, bufs) laid out
+    as _records_across lays them out, by omega S^-1 across."""
+    return lambda lo, hi, Q, stacks, bufs: _rows_mm(
+        records(lo, hi, bufs).reshape(hi - lo, -1), stacks[1], out=Q)
 
 
 def sweep_stages(state):
     """One iteration as three separate traversals: project, copy the
-    record across every cell face into the second store, then b - N u
-    and the update block by block from slices of that store."""
+    record across every cell face into the second store, then Q and the
+    update block by block from slices of that store."""
     state.warm_up()
     if state.track_old:
         state._backup_old()
@@ -551,8 +632,8 @@ def sweep_stages(state):
     state.each_block(lambda lo, hi, _: state._records_across(
         lo, hi, store[lo * k:hi * k]))
     state._count(residual=True)
-    return _sweep(state, lambda lo, hi, R, _: state._split_residual(
-        lo, hi, R, store[lo * k:hi * k]))
+    return _sweep(state, _across_kernel(
+        lambda lo, hi, _: store[lo * k:hi * k]))
 
 
 def sweep_fused(state):
@@ -560,7 +641,7 @@ def sweep_fused(state):
     the previous traversal wrote; a cold state is warmed up first.
 
     Block by block: the records across the block's cell faces from
-    iterate k's traces, b - N u, the update and the re-projection of the
+    iterate k's traces, Q, the update and the re-projection of the
     updated cells into their rows of the store.  A block's own records
     are still iterate k's when it reads them; the records it reads across
     its block boundary, which another block may already have rewritten,
@@ -573,8 +654,9 @@ def sweep_fused(state):
     np.take(state.proj[0].records(), state._halo_src, axis=0,
             out=state._halo, mode="clip")
     state._count(residual=True)
-    return _sweep(state, lambda lo, hi, R, bufs: state._split_residual(
-        lo, hi, R, state._records_across(lo, hi, bufs[0], halo=True)))
+    return _sweep(state, _across_kernel(
+        lambda lo, hi, bufs: state._records_across(lo, hi, bufs[0],
+                                                   halo=True)))
 
 
 SWEEPS = {
@@ -607,7 +689,7 @@ def compute_residual_only(state, visit=None):
     out = np.empty_like(state.u.data) if visit is None else None
 
     def block(lo, hi, bufs):
-        fluxes, R, term, _ = bufs
+        fluxes, R, term = bufs[:3]
         R = R[:hi - lo] if out is None else out[lo:hi]
         fluxes = state._records_across(lo, hi, fluxes)
         apply_flux(fluxes, own[lo * k:hi * k], out=fluxes)

@@ -150,6 +150,22 @@ def test_prediction_requires_unit_blocks():
         predict_blocks(not_unit, 1.0 / 3.0)
 
 
+@pytest.mark.parametrize("h, match", [
+    (0.0, "cell size h must be positive"),
+    (-1.0 / 3.0, "cell size h must be positive"),
+    ("0.3", "h must be a finite real number"),
+    (True, "h must be a finite real number"),
+    (float("nan"), "h must be a finite real number"),
+    (float("inf"), "h must be a finite real number"),
+])
+def test_bad_prediction_cell_size_is_rejected(h, match):
+    # the checks of build_local_blocks: h = 0 would divide by zero, and a
+    # negative h would return finite blocks
+    unit = build_local_blocks(make_basis("lobatto", 2), 2, 1.0)
+    with pytest.raises(AssemblyError, match=match):
+        predict_blocks(unit, h)
+
+
 def test_zero_penalty_is_rejected():
     # theta = -1, p = 1: the facet consistency terms cancel Acc exactly,
     # leaving a zero cell block once the penalty is removed

@@ -26,18 +26,22 @@ def test_whole_mesh_temporaries_stay_within_budget():
     # L4 p3: three blocks of 2187 cells.  Budgets in cell fields
     # (ncells * nloc doubles), each between the figure of the earlier
     # solver, which built whole-mesh temporaries, and the current one:
-    # - solve (10.0 -> 6.5): u, the trace store (2 at p3), the cycle
-    #   snapshot, the vertex contributions (0.25), one task's block
+    # - solve (10.0 -> 7.5): u, the trace store (2 at p3), the cycle
+    #   snapshot, c = omega S^-1 b, which the first sweep builds and the
+    #   state keeps, the vertex contributions (0.25), one task's block
     #   buffers (1.4) and the coarse space;
     # - apply_operator (5.6 -> 4.6): the trace store, the block buffers
     #   and the zero b, which also receives the A u it returns; the state
     #   adopts the operand as its iterate, where the earlier one also
-    #   held a zero iterate and a separate residual;
+    #   held a zero iterate and a separate residual; it never sweeps, so
+    #   it builds no c;
     # - discretisation_error (8.0 -> 3.0): the node coordinates, the
     #   interpolant, the difference and the problem's temporaries of one
     #   block;
-    # - a vanilla sweep after the first (5.0 -> 0.34): one block's
-    #   neighbour gather; the old iterate is kept across sweeps.
+    # - a vanilla sweep after the first (5.0 -> 0.34 -> 0.02): the
+    #   scatter into the boundary rows of a block; the neighbour cells
+    #   and their ids go through block buffers that the first sweep
+    #   allocates, and the old iterate is kept across sweeps.
     mesh, basis, blocks = blocks_for("lobatto", 3, 4)
     problem = get_problem("two_peak")
     b = build_rhs(problem, mesh, basis)
@@ -55,7 +59,7 @@ def test_whole_mesh_temporaries_stay_within_budget():
     assert solve_bytes < 8.0 * field
     assert apply_bytes < 5.0 * field
     assert error_bytes < 5.0 * field
-    assert vanilla_bytes < 1.0 * field
+    assert vanilla_bytes < 0.1 * field
 
 
 def test_set_up_temporaries_stay_within_budget():

@@ -406,25 +406,79 @@ def test_traversal_accounting(variant, criterion, start):
 
 def test_converged_solve_projects_once_per_cycle(monkeypatch):
     # project() runs once, as the warm-up, block by block; after it every
-    # traversal that changes u re-projects its own blocks: each sweep, and
-    # the correction of every cycle, the last one's included
+    # traversal that changes u brings its own blocks' traces up to date:
+    # each sweep re-projects them, and the correction of every cycle, the
+    # last one's included, adds the correction's traces from the corners
     mesh, basis, blocks = blocks_for("lobatto", 1, 4)
     b = build_rhs(get_problem("two_peak"), mesh, basis)
-    calls, ranges = [], []
+    calls, ranges, added = [], [], []
     project = SmootherState.project
     project_range = SmootherState._project_range
+    add_traces = SmootherState._add_corner_traces
     monkeypatch.setattr(SmootherState, "project",
                         lambda st: calls.append(1) or project(st))
     monkeypatch.setattr(SmootherState, "_project_range",
                         lambda st, lo, hi: ranges.append((lo, hi))
                         or project_range(st, lo, hi))
+    monkeypatch.setattr(SmootherState, "_add_corner_traces",
+                        lambda st, lo, hi, bufs: added.append((lo, hi))
+                        or add_traces(st, lo, hi, bufs))
     cfg = MgConfig(variant="fused", eps=1e-7)
     res = solve(mesh, basis, blocks, b, cfg)
     assert res.trace.converged and res.trace.cycles > 1
     assert len(calls) == 1
     every_block = [(lo, lo + BLOCK) for lo in range(0, mesh.ncells, BLOCK)]
     assert len(every_block) == 3
-    assert ranges == every_block * (1 + res.trace.cycles * (cfg.nu + 1))
+    sweeps = [(lo, hi) for _ in range(cfg.nu) for lo, hi in every_block]
+    assert ranges == every_block + sweeps * res.trace.cycles
+    assert added == every_block * res.trace.cycles
+
+
+@pytest.mark.parametrize("kind", ["lobatto", "legendre"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_corrected_trace_store_matches_a_fresh_projection(kind, p,
+                                                          monkeypatch):
+    # the correction adds corner_traces times the corners to the store in
+    # place of re-projecting the corrected cells; the next sweep reads
+    # that store, so it must hold the corrected iterate's traces.  L4 has
+    # three blocks.  Relative to the largest sum of the projection's term
+    # magnitudes, the rounding scale of the product: a derivative trace
+    # is a difference of terms up to p^2 / h times the cell values
+    mesh, basis, blocks = blocks_for(kind, p, 4)
+    b = build_rhs(get_problem("two_peak"), mesh, basis)
+    tail = hpmg.multigrid._prolongation_tail
+    checked = []
+
+    def checked_tail(state, *args):
+        out = tail(state, *args)
+        store = state.proj[0]
+        fresh = state.u.data @ blocks.traces.T
+        got = store.data.reshape(mesh.ncells, -1)
+        scale = np.max(np.abs(state.u.data) @ np.abs(blocks.traces).T)
+        assert np.max(np.abs(got - fresh)) <= 1e-14 * scale, len(checked)
+        assert store.written.all()
+        checked.append(1)
+        return out
+
+    monkeypatch.setattr(hpmg.multigrid, "_prolongation_tail", checked_tail)
+    res = solve(mesh, basis, blocks, b, MgConfig(variant="fused", eps=1e-7))
+    assert res.trace.converged
+    assert len(checked) == res.trace.cycles > 1
+
+
+@pytest.mark.parametrize("variant", ["fused", "vanilla"])
+def test_percell_solve_is_bitwise_precomputed(variant):
+    # percell mode forms the step's stacks and the block's rows of
+    # c = omega S^-1 b on every block visit, with the arithmetic that
+    # precomputed mode runs once per state; L4 has three blocks
+    mesh, basis, blocks = blocks_for("lobatto", 2, 4)
+    b = build_rhs(get_problem("two_peak"), mesh, basis)
+    runs = [solve(mesh, basis, blocks, b,
+                  MgConfig(variant=variant, inverse_mode=mode, eps=1e-7))
+            for mode in ("precomputed", "percell")]
+    assert runs[0].trace.converged
+    assert runs[1].trace.cycles == runs[0].trace.cycles
+    np.testing.assert_array_equal(runs[1].u.data, runs[0].u.data)
 
 
 @pytest.mark.parametrize("variant", ["vanilla", "stages"])

@@ -16,9 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hpmg import MgConfig, build_rhs, get_problem, make_partition, solve
+from hpmg import (MgConfig, apply_operator, build_rhs, discretisation_error,
+                  get_problem, make_partition, solve)
 from hpmg.smoother import SWEEPS
 
 from conftest import blocks_for
@@ -75,16 +77,26 @@ def test_workload_solves_keep_their_integer_invariants(name, cycles, total,
     # each workload's solve at seed 0, as the benchmark sets it up: a
     # change to convergence or to the traversal accounting shows here.
     # The counts follow from the cycle count, so they do not depend on
-    # the BLAS build's rounding as long as the cycle count holds
+    # the BLAS build's rounding as long as the cycle count holds.  The
+    # solve must also pass the benchmark's own correctness gates, as
+    # perfbench/run.py checks them: the true relative residual and the
+    # relative error to the exact solution under the workload's bounds
     workloads = _load("workloads")
     w = workloads.WORKLOADS[name]
     case, _ = workloads.set_up(w)
-    res = solve(case.mesh, case.basis, case.blocks,
-                workloads.make_rhs(case, 0), w.config(),
+    b = workloads.make_rhs(case, 0)
+    res = solve(case.mesh, case.basis, case.blocks, b, w.config(),
                 partition=case.partition, cspace=case.cspace)
     assert res.trace.converged
     assert (res.trace.cycles, res.counters.total(),
             res.counters.traversals) == (cycles, total, traversals)
+    Au = apply_operator(case.mesh, case.basis, case.blocks, res.u,
+                        partition=case.partition)
+    rel = np.linalg.norm(b - Au.data) / np.linalg.norm(b)
+    assert rel < w.max_rel_residual
+    err, _ = discretisation_error(res.u, workloads.PROBLEM, case.mesh,
+                                  case.basis)
+    assert err < w.max_rel_error
 
 
 def _hpmg_imports():

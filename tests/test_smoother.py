@@ -525,6 +525,30 @@ def test_apply_operator_matches_dense(rng):
     assert np.max(np.abs(got.data.reshape(-1) - want)) < 1e-10 * np.max(np.abs(want))
 
 
+def test_only_a_sweep_builds_the_step_of_the_right_hand_side(monkeypatch):
+    # c = omega S^-1 b is one cell field: apply_operator, whose state is
+    # never swept, leaves it unbuilt, and so does a residual traversal;
+    # a precomputed sweep builds it once and keeps it, a percell one never
+    import hpmg.smoother as smoother
+    states = []
+    residual = smoother.compute_residual_only
+    monkeypatch.setattr(smoother, "compute_residual_only",
+                        lambda st, *a: states.append(st) or residual(st, *a))
+    mesh, basis, blocks, b, st = _random_setup(level=4, variant="fused")
+    apply_operator(mesh, basis, blocks, b)
+    assert len(states) == 1 and states[0]._c is None
+    compute_residual_only(st)
+    assert st._c is None
+    sweep(st)
+    c = st._c
+    assert c.shape == b.data.shape
+    sweep(st)
+    assert st._c is c
+    *_, st = _random_setup(level=4, variant="fused", inverse_mode="percell")
+    sweep(st)
+    assert st._c is None and st._stacks is None
+
+
 def test_state_validation():
     mesh, basis, blocks = blocks_for("lobatto", 2, 1)
     b = CellField.zeros(mesh.ncells, blocks.nloc)
