@@ -13,27 +13,40 @@ Traversal accounting with the one-traversal smoother: one warm-up
 projection traversal, run by the first traversal of a cold state, then
 per cycle nu smoothing traversals, one residual traversal that also
 restricts, and one prolongation traversal that adds the correction to
-the cells and its traces to the trace store (a converged solve discards
-the last of these).  The correction is a bilinear with 2^dim
-coefficients per cell, its corner values, so its traces are one product
-by LocalBlocks.corner_traces per block, added to the block's rows of the
-store; no re-projection of the corrected cells follows.  A run of n
-cycles touches the mesh n*(nu+2)+1 times.  The vanilla and stages sweeps
-read no traces a traversal before them wrote, so they run neither the
-warm-up nor the trace update.  Each traversal counts itself in
-counters.traversals; solve() only orders them on the smoother's block
-engine: the residual traversal keeps each block's residual in a block
-buffer and writes its rows of the vertex contributions R P_loc and its
-partial norms; the prolongation traversal forms each block's correction
-rows, adds them, and forms the change of the iterate and its partial
-norms.  Partial norms combine in block order.  Only the vertex load,
-one bincount over the contributions, runs over the whole mesh.
+the cells and its traces to the trace store.  The correction is a
+bilinear with 2^dim coefficients per cell, its corner values, so its
+traces are one product by LocalBlocks.corner_traces per block, added to
+the block's rows of the store; no re-projection of the corrected cells
+follows.  A run of n cycles touches the mesh n*(nu+2)+1 times, once
+fewer when the unprec test stops it: that stop skips the last cycle's
+coarse solve and prolongation, while a prec or error stop runs them,
+since the change those tests read comes from the prolongation.  The
+vanilla and stages sweeps read no traces a traversal before them wrote,
+so they run neither the warm-up nor the trace update.  Each traversal
+counts itself in counters.traversals; _cycle only orders them on the
+smoother's block engine: the residual traversal keeps each block's
+residual in a block buffer and writes its rows of the vertex
+contributions R P_loc and its partial norms; the prolongation traversal
+forms each block's correction rows, adds them, and forms the change of
+the iterate and its partial norms.  Partial norms combine in block
+order.  Only the vertex load, one bincount over the contributions, runs
+over the whole mesh.
 
-Stopping is either on the residual recorded in the restriction traversal
-(criterion "unprec", no extra work) or on the difference of consecutive
+Stopping is on the residual recorded in the restriction traversal
+(criterion "unprec", no extra work), on the difference of consecutive
 cycle iterates, available when a correction is materialised (criterion
-"prec"); both are relative to their first recorded value, the residual
-one to the residual of the initial guess.
+"prec"), or on the distance to a reference iterate (criterion "error");
+each is relative to its first recorded value, the residual one to the
+residual of the initial guess and the error one to the initial guess's.
+
+One cycle lives in one place, _cycle(state, ...): the sweeps, the
+residual traversal, the coarse solve and the prolongation traversal on a
+persistent SmootherState, returning the norms of the residual, the
+change and the error.  solve() validates, sets the state up, takes the
+initial norms and then calls _cycle once per cycle, with _record
+appending each cycle's norms to the CycleTrace and applying the stopping
+test.  Another driver of the same cycle, a Krylov method or a defect
+correction, calls _cycle on its own state.
 """
 
 from __future__ import annotations
@@ -74,7 +87,7 @@ class MgConfig:
     """Settings of one multigrid solve; validate() checks them all.
 
     nu            smoothing sweeps per cycle, an integer >= 1
-    omega         smoother relaxation weight, a real number in [0, 1]
+    omega         smoother relaxation weight, a real number in (0, 1]
     eps           stopping tolerance, a real number >= 0
     max_cycles    cycle cap, an integer >= 1
     criterion     "prec" (iterate change), "unprec" (residual) or "error"
@@ -103,6 +116,11 @@ class MgConfig:
             raise MgError(f"unknown stopping criterion {self.criterion!r}")
         if self.coarse not in ("exact", "vcycle"):
             raise MgError(f"unknown coarse solve mode {self.coarse!r}")
+        # without smoothing (omega 0) the iterate stays at the coarse-space
+        # solution, whose change the prec test takes for convergence
+        if not (is_real(self.omega) and 0.0 < self.omega <= 1.0):
+            raise MgError(f"relaxation weight must be a real number in "
+                          f"(0, 1], got {self.omega!r}")
         try:
             check_settings(self.omega, self.variant, self.inverse_mode,
                            self.workers)
@@ -403,6 +421,76 @@ def _prolongation_tail(state, E, snapshot, ref):
     return combine_norms(change), combine_norms(error) if error else None
 
 
+def _reference(u_ref, cfg, u):
+    """The error criterion's reference in the shape of the iterate u,
+    zeros when u_ref is omitted; None for the other criteria.  MgError
+    for a reference of another size, a complex one or one with a
+    non-finite entry, and for one given with another criterion, which
+    would ignore it."""
+    if cfg.criterion != "error":
+        if u_ref is not None:
+            raise MgError(f"a reference u_ref needs criterion 'error', not "
+                          f"{cfg.criterion!r}")
+        return None
+    if u_ref is None:
+        return np.zeros_like(u)
+    ref = np.asarray(u_ref)
+    if ref.size != u.size:
+        raise MgError(f"reference of shape {ref.shape} does not match "
+                      f"the iterate's {u.shape}")
+    if np.iscomplexobj(ref):
+        raise MgError("reference u_ref is complex; the solver is real-valued")
+    if not np.all(np.isfinite(ref)):
+        raise MgError("reference u_ref is not finite")
+    return ref.reshape(u.shape)
+
+
+def _cycle(state, cspace, cfg, cycle, contrib, snapshot, ref=None,
+           stop_at=None):
+    """One multigrid cycle on state, the cycle-th of its run: cfg.nu
+    sweeps, the residual traversal, which restricts into contrib, and,
+    unless the residual's l2 norm is at most stop_at, the coarse solve of
+    the vertex load and the prolongation traversal, which corrects
+    state.u and moves snapshot along with it.  Returns the (l2, linf)
+    norms of the residual before the correction, of the change of the
+    iterate and of its error to ref (None without one); the last two are
+    None when the cycle stopped at its residual.  NonFiniteError when the
+    residual is not finite."""
+    sweep = SWEEPS[state.variant]
+    for _ in range(cfg.nu):
+        sweep(state)
+    res = _residual_tail(state, contrib)
+    _check_finite(res[0], cycle)
+    if stop_at is not None and res[0] <= stop_at:
+        return res, None, None
+    eV = coarse_solve(cspace, _vertex_load(state.mesh, contrib), cfg)
+    return (res, *_prolongation_tail(state, eV, snapshot, ref))
+
+
+def _record(trace, cfg, cycle, res, change, err):
+    """Append the cycle-th cycle's norms, as _cycle returns them, to trace
+    and apply cfg's stopping test; returns trace.converged.  A cycle that
+    stopped at its residual (change None) met the unprec test."""
+    trace.cycles = cycle
+    trace.res_l2.append(res[0])
+    trace.res_linf.append(res[1])
+    if change is None:
+        trace.converged = True
+        return True
+    trace.prec_l2.append(change[0])
+    trace.prec_linf.append(change[1])
+    if (cfg.criterion == "prec" and len(trace.prec_l2) >= 2
+            and trace.prec_l2[0] > 0
+            and change[0] <= cfg.eps * trace.prec_l2[0]):
+        trace.converged = True
+    if err is not None:
+        trace.err_l2.append(err[0])
+        trace.err_linf.append(err[1])
+        if err[0] <= cfg.eps * trace.e0_l2:
+            trace.converged = True
+    return trace.converged
+
+
 def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
           cspace=None, u_ref=None):
     """Run multigrid cycles on A u = b until the configured criterion or
@@ -410,7 +498,8 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
 
     With criterion="error" the run stops once the dof-vector distance to
     u_ref (zeros when omitted) has dropped by eps relative to the initial
-    guess; the per-cycle error history is recorded on the trace."""
+    guess; the per-cycle error history is recorded on the trace.  The
+    other criteria take no u_ref."""
     cfg = cfg or MgConfig()
     cfg.validate()
     if cspace is None:
@@ -418,19 +507,13 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
     if cspace.levels[0].n != mesh.n:
         raise MgError(f"coarse space of {cspace.levels[0].n} cells per "
                       f"direction does not match the mesh's {mesh.n}")
-    sweep_fn = SWEEPS[cfg.variant]
     trace = CycleTrace()
     with make_state(mesh, basis, blocks, b, partition=partition,
                     omega=cfg.omega, variant=cfg.variant,
                     inverse_mode=cfg.inverse_mode, workers=cfg.workers,
                     u0=u0) as state:
-        ref = None
-        if cfg.criterion == "error":
-            ref = np.zeros_like(state.u.data) if u_ref is None else np.asarray(u_ref)
-            if ref.size != state.u.data.size:
-                raise MgError(f"reference of shape {ref.shape} does not match "
-                              f"the iterate's {state.u.data.shape}")
-            ref = ref.reshape(state.u.data.shape)
+        ref = _reference(u_ref, cfg, state.u.data)
+        if ref is not None:
             trace.e0_l2, trace.e0_linf = _norms(state.u.data - ref)
             if trace.e0_l2 == 0.0:
                 trace.converged = True
@@ -447,32 +530,12 @@ def solve(mesh, basis, blocks, b, cfg=None, partition=None, u0=None,
             trace.converged = True
             return MgResult(state.u, trace, state.counters)
 
+        stop_at = (cfg.eps * trace.r0_l2 if cfg.criterion == "unprec"
+                   else None)
         snapshot = state.u.data.copy()
         for cycle in range(1, cfg.max_cycles + 1):
-            trace.cycles = cycle
-            for _ in range(cfg.nu):
-                sweep_fn(state)
-            r2, ri = _residual_tail(state, contrib)
-            trace.res_l2.append(r2)
-            trace.res_linf.append(ri)
-            _check_finite(r2, cycle)
-            if cfg.criterion == "unprec" and r2 <= cfg.eps * trace.r0_l2:
-                trace.converged = True
-                break
-            eV = coarse_solve(cspace, _vertex_load(mesh, contrib), cfg)
-            (d2, di), err = _prolongation_tail(state, eV, snapshot, ref)
-            trace.prec_l2.append(d2)
-            trace.prec_linf.append(di)
-            if (cfg.criterion == "prec" and len(trace.prec_l2) >= 2
-                    and trace.prec_l2[0] > 0
-                    and d2 <= cfg.eps * trace.prec_l2[0]):
-                trace.converged = True
-            if ref is not None:
-                e2, ei = err
-                trace.err_l2.append(e2)
-                trace.err_linf.append(ei)
-                if e2 <= cfg.eps * trace.e0_l2:
-                    trace.converged = True
-            if trace.converged:
+            norms = _cycle(state, cspace, cfg, cycle, contrib, snapshot, ref,
+                           stop_at)
+            if _record(trace, cfg, cycle, *norms):
                 break
         return MgResult(state.u, trace, state.counters)

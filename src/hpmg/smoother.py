@@ -129,6 +129,20 @@ def check_settings(omega, variant, inverse_mode, workers):
         raise SmootherError(f"workers must be an integer >= 1: {workers!r}")
 
 
+def _cell_rows(data, what, shape):
+    """data, a CellField or an array of the given shape, as a float64
+    C-contiguous array, not copied when it is one already.  SmootherError
+    for complex data, whose imaginary part the cast would drop, and for
+    any other shape: a row or a scalar would broadcast over every cell."""
+    data = data.data if isinstance(data, CellField) else data
+    if np.iscomplexobj(data):
+        raise SmootherError(f"{what} is complex; the solver is real-valued")
+    if np.shape(data) != shape:
+        raise SmootherError(f"{what} of shape {np.shape(data)} does not "
+                            f"match mesh/basis {shape}")
+    return np.ascontiguousarray(data, dtype=float)
+
+
 def _block(n):
     """Rows per block of the grid over n cell rows."""
     return min(BLOCK, n)
@@ -268,13 +282,9 @@ class SmootherState:
         return self.variant in ("fused", "tasked")
 
     def set_solution(self, data):
-        """Set the iterate; SmootherError unless data is (ncells, nloc):
-        a row or a scalar would broadcast over every cell."""
-        data = np.asarray(data.data if isinstance(data, CellField) else data)
-        if data.shape != self.u.data.shape:
-            raise SmootherError(f"initial guess of shape {data.shape} does "
-                                f"not match mesh/basis {self.u.data.shape}")
-        self.u.data[:] = data
+        """Set the iterate; SmootherError unless data is real and
+        (ncells, nloc), see _cell_rows."""
+        self.u.data[:] = _cell_rows(data, "initial guess", self.u.data.shape)
         self.warm = False
 
     # -- traversal stages ---------------------------------------------------
@@ -468,7 +478,8 @@ def _new_state(mesh, basis, blocks, b, u, partition=None, omega=0.6,
                track_old=False):
     """make_state on the iterate u, a CellField the state adopts.
     SmootherError unless the blocks were built for the mesh's dimension
-    and cell size (to rounding) and for the basis."""
+    and cell size (to rounding) and for the basis, and b is real and
+    (ncells, nloc)."""
     check_settings(omega, variant, inverse_mode, workers)
     if blocks.dim != mesh.dim:
         raise SmootherError(f"{blocks.dim}D blocks do not match the "
@@ -485,10 +496,7 @@ def _new_state(mesh, basis, blocks, b, u, partition=None, omega=0.6,
         raise SmootherError(f"partition of {int(partition.starts[-1])} cells "
                             f"does not match the {mesh.ncells}-cell mesh")
     # the smoother only reads b: a float64 C-contiguous one is not copied
-    bdata = np.ascontiguousarray(b.data if isinstance(b, CellField) else b,
-                                 dtype=float)
-    if bdata.shape != (mesh.ncells, blocks.nloc):
-        raise SmootherError("right-hand side shape does not match mesh/basis")
+    bdata = _cell_rows(b, "right-hand side", (mesh.ncells, blocks.nloc))
     st = SmootherState(
         mesh=mesh, blocks=blocks, partition=partition,
         u=u, b=CellField(bdata), omega=omega,
@@ -711,13 +719,9 @@ def apply_operator(mesh, basis, blocks, U, partition=None):
     """Matrix-free A u through the projection/flux/residual pipeline.
 
     U is read in place when it is a C-contiguous float64 array (else a
-    float copy); SmootherError unless it is (ncells, nloc).
+    float copy); SmootherError unless it is real and (ncells, nloc).
     """
-    data = np.ascontiguousarray(U.data if isinstance(U, CellField) else U,
-                                dtype=float)
-    if data.shape != (mesh.ncells, blocks.nloc):
-        raise SmootherError(f"operand of shape {data.shape} does not match "
-                            f"mesh/basis {(mesh.ncells, blocks.nloc)}")
+    data = _cell_rows(U, "operand", (mesh.ncells, blocks.nloc))
     # A u = -(b - A u) with b = 0.  The state adopts data as its iterate
     # and is never swept: the variant without sweep stores.  The zero b
     # also receives A u: each block reads its own rows of b before it

@@ -23,6 +23,7 @@ from hpmg import (
     get_problem,
     interpolate_exact,
     make_partition,
+    make_state,
     norm,
     solve,
 )
@@ -709,6 +710,9 @@ def test_trace_history_and_csv(tmp_path):
     {"max_cycles": True},
     {"max_cycles": None},
     {"workers": None},
+    # without smoothing the iterate stays at the coarse-space solution,
+    # which the prec test takes for converged
+    {"omega": 0.0},
 ])
 def test_config_validation_rejects_out_of_range_values(bad):
     with pytest.raises(MgError):
@@ -735,6 +739,53 @@ def test_initial_guess_and_reference_of_the_wrong_shape_raise():
     # a flat reference of the right size is the iterate's layout
     ref = np.zeros(mesh.ncells * blocks.nloc)
     assert solve(mesh, basis, blocks, b, cfg, u_ref=ref).trace.converged
+    # a NaN reference would run every cycle to max_cycles, an infinite
+    # one would stop at once with converged set
+    for bad in (np.nan, np.inf):
+        ref = np.full((mesh.ncells, blocks.nloc), bad)
+        with pytest.raises(MgError, match="not finite"):
+            solve(mesh, basis, blocks, b, cfg, u_ref=ref)
+    # nor a complex one, whose error norms are not real
+    with pytest.raises(MgError, match="complex"):
+        solve(mesh, basis, blocks, b, cfg,
+              u_ref=np.full((mesh.ncells, blocks.nloc), 1j))
+    # the other criteria would ignore a reference, whatever its shape
+    for criterion in ("prec", "unprec"):
+        for ref in (np.zeros(3), np.zeros((mesh.ncells, blocks.nloc))):
+            with pytest.raises(MgError, match="needs criterion 'error'"):
+                solve(mesh, basis, blocks, b,
+                      MgConfig(criterion=criterion), u_ref=ref)
+
+
+@pytest.mark.parametrize("criterion", ["prec", "unprec"])
+@pytest.mark.parametrize("variant", ["vanilla", "stages", "fused", "tasked"])
+def test_one_cycle_from_zero_is_the_first_cycle_of_solve(variant, criterion,
+                                                          rng):
+    # _cycle on a fresh state, as another driver would apply it to a
+    # residual r, keeps the bits and the counts of solve's first cycle.
+    # L4 has three blocks, so the tasked run spreads over its workers
+    mesh, basis, blocks = blocks_for("lobatto", 2, 4)
+    r = rng.uniform(-1.0, 1.0, (mesh.ncells, blocks.nloc))
+    cfg = MgConfig(variant=variant, criterion=criterion, max_cycles=1,
+                   workers=2 if variant == "tasked" else 1)
+    cspace = cspace_at(4)
+    res = solve(mesh, basis, blocks, r, cfg, cspace=cspace)
+    assert res.trace.cycles == 1 and not res.trace.converged
+    r0 = hpmg.multigrid._norms(r)[0]
+    stop_at = cfg.eps * r0 if criterion == "unprec" else None
+    with make_state(mesh, basis, blocks, r, omega=cfg.omega, variant=variant,
+                    workers=cfg.workers) as st:
+        contrib = np.empty((mesh.ncells, mesh.cell_vertices.shape[1]))
+        snapshot = np.zeros_like(r)
+        res_norms, change, err = hpmg.multigrid._cycle(
+            st, cspace, cfg, 1, contrib, snapshot, stop_at=stop_at)
+        assert err is None
+        np.testing.assert_array_equal(st.u.data, res.u.data)
+        np.testing.assert_array_equal(snapshot, res.u.data)
+        assert res_norms == (res.trace.res_l2[0], res.trace.res_linf[0])
+        assert change == (res.trace.prec_l2[0], res.trace.prec_linf[0])
+        assert st.counters.total() == res.counters.total()
+        assert st.counters.traversals == res.counters.traversals
 
 
 def test_coarse_space_of_another_mesh_is_rejected():

@@ -14,6 +14,7 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -38,22 +39,31 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("variant", list(SWEEPS))
-def test_traced_solve_records_every_layer_and_restores_names(variant):
+@pytest.mark.parametrize("variant, criterion", [
+    pytest.param(v, c, id=v if c == "prec" else f"{v}-{c}")
+    for c in ("prec", "unprec") for v in SWEEPS])
+def test_traced_solve_records_every_layer_and_restores_names(variant,
+                                                             criterion):
     tracing = _load("tracing")
     mesh, basis, blocks = blocks_for("lobatto", 2, 1)
     b = build_rhs(get_problem("sin_product"), mesh, basis)
     part = make_partition(mesh, "balanced", 2)
     tracer = tracing.Tracer()
     tracer.new_request()
+    cfg = MgConfig(eps=1e-7, variant=variant, criterion=criterion)
     with tracing.traced_layers(tracer):
-        res = solve(mesh, basis, blocks, b,
-                    MgConfig(eps=1e-7, variant=variant), partition=part)
+        res = solve(mesh, basis, blocks, b, cfg, partition=part)
     assert res.trace.converged
-    names = {span[3] for span in tracer.spans}
-    for name in ("smoother.sweep", "smoother.residual", "fields.exchange",
-                 "localops.apply_flux"):
-        assert name in names, name
+    calls = Counter(span[3] for span in tracer.spans)
+    for name in ("fields.exchange", "localops.apply_flux"):
+        assert calls[name], name
+    # a span per call of each layer: a call that leaves hpmg.multigrid's
+    # namespace, or a sweep not looked up in SWEEPS, records none.  An
+    # unprec stop skips the last cycle's coarse solve
+    cycles = res.trace.cycles
+    assert (calls["smoother.sweep"], calls["smoother.residual"],
+            calls["multigrid.coarse_solve"]) == \
+        (cfg.nu * cycles, cycles, cycles - (criterion == "unprec"))
     assert tracing.still_wrapped() == []
 
 

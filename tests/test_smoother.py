@@ -600,6 +600,16 @@ def test_state_validation():
             make_state(mesh, basis, blocks, b, u0=bad)
         with pytest.raises(SmootherError, match="initial guess of shape"):
             st.set_solution(bad)
+    # complex data would be cast to its real part with only a warning
+    z = np.ones((mesh.ncells, blocks.nloc), dtype=complex)
+    with pytest.raises(SmootherError, match="right-hand side is complex"):
+        make_state(mesh, basis, blocks, CellField(z))
+    with pytest.raises(SmootherError, match="initial guess is complex"):
+        make_state(mesh, basis, blocks, b, u0=z)
+    with pytest.raises(SmootherError, match="initial guess is complex"):
+        st.set_solution(CellField(z))
+    with pytest.raises(SmootherError, match="operand is complex"):
+        apply_operator(mesh, basis, blocks, z)
 
 
 def test_standalone_smoothing_is_monotone():
